@@ -1,13 +1,13 @@
 """Commit stage: retire DONE instructions from each ROB head, in-order.
 
-Two registered variants (see :mod:`repro.core.engine.stages`):
+Two implementations, one per stage set (see :mod:`repro.core.engine.stages`):
 
 * :func:`commit` — the generic multipipeline stage (per-pipeline width
   budgets, fairness rotor across each pipeline's threads);
 * :func:`commit_mono` — the single-pipeline specialization (the M8
   baseline): the generic stage with the pipeline loop collapsed, same
   rotor order and budget accounting — bit-identical by construction,
-  pinned by the golden-equivalence suite and the stage-registry
+  pinned by the golden-equivalence suite and the mono-vs-SMT
   lockstep test.
 """
 

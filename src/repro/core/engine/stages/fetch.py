@@ -5,7 +5,7 @@ columns (``index >> FETCH_SHIFT`` selects a block, decoded from the
 column slices on first touch) — the tuple lists the seed fetch loop
 indexed never materialize.
 
-Registered variants (see :mod:`repro.core.engine.stages`):
+Two implementations, one per stage set (see :mod:`repro.core.engine.stages`):
 
 * :func:`fetch` — the generic stage: per-candidate pipeline lookups and
   buffer-space probes (threads map to different decoupling buffers);
@@ -15,7 +15,7 @@ Registered variants (see :mod:`repro.core.engine.stages`):
   untouched, so the fetched stream is bit-identical.
 
 :func:`fetch_thread` fetches one packet for one thread (shared by both
-variants).
+stage sets).
 """
 
 from __future__ import annotations

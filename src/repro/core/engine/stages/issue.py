@@ -8,7 +8,7 @@ age-ordered pick across per-class queues the pre-merge three-heap stage
 computed (that stage survives verbatim as the reference machine of
 ``tests/properties/test_issue_merged_ready.py``).
 
-Registered variants (see :mod:`repro.core.engine.stages`):
+Two implementations, one per stage set (see :mod:`repro.core.engine.stages`):
 
 * :func:`issue_all` — the generic stage: every pipeline with ready
   entries runs :func:`issue_pipeline`;

@@ -19,8 +19,8 @@ The store is tiered:
 * **tier 1** — a pluggable byte store behind the small
   :class:`CacheBackend` protocol (``get_bytes`` / ``put_bytes`` /
   ``scan`` / ``delete``).  The default :class:`FilesystemBackend` keeps
-  the exact sharded on-disk layout (and key bytes) of the pre-tier
-  cache, so existing caches keep hitting; a real KV store plugs in by
+  the sharded on-disk layout (and key bytes) of the pre-tier cache, so
+  existing caches keep hitting; a real KV store plugs in by
   implementing the same four methods.
 
 Corrupted or truncated entries degrade to a cache miss — the job simply
@@ -37,9 +37,8 @@ import time
 from collections import OrderedDict
 from hashlib import sha256
 from pathlib import Path
-from typing import Dict, Iterator, NamedTuple, Optional, Protocol, Tuple
+from typing import Iterator, NamedTuple, Optional, Protocol, Tuple
 
-from repro.core.engine.options import engine_options_for, engine_variant_id
 from repro.core.simulation import SimResult
 from repro.ioutil import atomic_write_bytes
 from repro.trace.packed import PACK_FORMAT_VERSION
@@ -135,57 +134,19 @@ class FilesystemBackend:
     characters of the key (``<dir>/ab/abcdef....json``): a cache shared
     by a worker fleet accumulates tens of thousands of entries, and one
     flat directory makes every ``O_CREAT``/rename/listdir pay a
-    linear-scan tax on filesystems without indexed directories.  Reads
-    are transparent across layouts — a pre-sharding flat entry still
-    hits, and is migrated into its shard on first touch (plus a one-time
-    bulk migration at construction), so existing caches upgrade in place
-    with zero recomputes.
+    linear-scan tax on filesystems without indexed directories.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._migrate_flat_layout()
-
-    def _migrate_flat_layout(self) -> None:
-        """Move any flat-layout (pre-sharding) entries into their shards.
-
-        ``os.replace`` is atomic and last-writer-wins, and both layouts'
-        writers produce identical bytes for a given key, so racing
-        migrators/writers are harmless.  A concurrently-vanished file
-        (another migrator won) is skipped.
-        """
-        for path in self.directory.glob("*.json"):
-            key = path.stem
-            if len(key) != 64:
-                continue  # not one of ours; leave it alone
-            shard = self.directory / key[:2]
-            shard.mkdir(exist_ok=True)
-            try:
-                os.replace(path, shard / path.name)
-            except FileNotFoundError:
-                continue
 
     def path_for(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
 
-    def _flat_path(self, key: str) -> Path:
-        """Where the pre-sharding layout kept this key."""
-        return self.directory / f"{key}.json"
-
     def get_bytes(self, key: str) -> Optional[bytes]:
-        path = self.path_for(key)
         try:
-            return path.read_bytes()
-        except FileNotFoundError:
-            pass
-        # Transparent flat-layout read: migrate the entry into its
-        # shard, then serve it from there.
-        try:
-            flat = self._flat_path(key)
-            path.parent.mkdir(exist_ok=True)
-            os.replace(flat, path)
-            return path.read_bytes()
+            return self.path_for(key).read_bytes()
         except FileNotFoundError:
             return None
 
@@ -194,31 +155,26 @@ class FilesystemBackend:
         path.parent.mkdir(exist_ok=True)
         atomic_write_bytes(path, payload)
 
-    def scan(self) -> Iterator[CacheEntry]:
-        """Every entry, flat/sharded duplicates collapsed to one key."""
-        seen = set()
-        shard_dirs = []
+    def _shard_dirs(self) -> list:
+        """Paths of the two-character shard directories."""
         try:
             with os.scandir(self.directory) as entries:
-                for entry in entries:
-                    name = entry.name
-                    if name.endswith(".json") and entry.is_file(
-                        follow_symlinks=False
-                    ):
-                        seen.add(name)
-                        yield self._entry_for(entry)
-                    elif len(name) == 2 and entry.is_dir(
-                        follow_symlinks=False
-                    ):
-                        shard_dirs.append(entry.path)
+                return [
+                    entry.path
+                    for entry in entries
+                    if len(entry.name) == 2
+                    and entry.is_dir(follow_symlinks=False)
+                ]
         except FileNotFoundError:
-            return
-        for shard in shard_dirs:
+            return []
+
+    def scan(self) -> Iterator[CacheEntry]:
+        """Every entry, shard by shard."""
+        for shard in self._shard_dirs():
             try:
                 with os.scandir(shard) as entries:
                     for entry in entries:
-                        if entry.name.endswith(".json") \
-                                and entry.name not in seen:
+                        if entry.name.endswith(".json"):
                             yield self._entry_for(entry)
             except FileNotFoundError:
                 continue  # shard vanished mid-walk (concurrent cleanup)
@@ -233,47 +189,23 @@ class FilesystemBackend:
         return CacheEntry(entry.name[:-5], size, mtime)
 
     def delete(self, key: str) -> bool:
-        removed = False
-        for path in (self.path_for(key), self._flat_path(key)):
-            try:
-                path.unlink()
-                removed = True
-            except FileNotFoundError:
-                pass
-        return removed
+        try:
+            self.path_for(key).unlink()
+        except FileNotFoundError:
+            return False
+        return True
 
     def count(self) -> int:
-        """Entry count in one ``os.scandir`` walk, each key counted once.
-
-        One walk collects shard directories as it counts the flat
-        stragglers, and a name set collapses a flat/sharded duplicate
-        (visible in both layouts mid-migration) to one key.
-        """
-        seen = set()
-        shards = []
-        try:
-            with os.scandir(self.directory) as entries:
-                for entry in entries:
-                    name = entry.name
-                    if name.endswith(".json") and entry.is_file(
-                        follow_symlinks=False
-                    ):
-                        seen.add(name)
-                    elif len(name) == 2 and entry.is_dir(
-                        follow_symlinks=False
-                    ):
-                        shards.append(entry.path)
-        except FileNotFoundError:
-            return 0
-        for shard in shards:
+        """Entry count without the per-entry ``stat`` that :meth:`scan`
+        pays."""
+        total = 0
+        for shard in self._shard_dirs():
             try:
                 with os.scandir(shard) as entries:
-                    seen.update(
-                        e.name for e in entries if e.name.endswith(".json")
-                    )
+                    total += sum(1 for e in entries if e.name.endswith(".json"))
             except FileNotFoundError:
                 continue  # shard vanished mid-walk (concurrent cleanup)
-        return len(seen)
+        return total
 
 
 def _env_mem_budget_mb() -> float:
@@ -344,25 +276,16 @@ class ResultCache:
         :class:`~repro.runner.jobs.SimJob` that is byte-identical to the
         legacy field set, so existing cache entries keep hitting. All
         keys are salted with the engine and packed-trace format
-        versions, plus — whenever a non-generic engine variant (the
-        codegen specialization) would execute the job — that variant's
-        identity. Specialized and generic runs are bit-identical by
-        contract, but the cache must not be able to *mask* a
-        specialization bug by serving one variant's stale entry to the
-        other; generic runs keep the legacy key bytes, so existing
-        caches keep hitting.
+        versions.
 
         The key is memoized on the job instance (jobs are frozen/
         immutable and every ``get``+``put`` pair used to re-serialize
         and re-hash the full description twice): the memo is validated
-        against the salt tuple — engine version, trace format, active
-        engine variant — so runtime engine-option flips or version
-        monkeypatching recompute instead of serving a stale key.
+        against the salt tuple — engine version, trace format — so
+        version monkeypatching recomputes instead of serving a stale
+        key.
         """
-        variant = engine_variant_id(
-            engine_options_for(getattr(job, "config", None))
-        )
-        salt_state = (ENGINE_VERSION, PACK_FORMAT_VERSION, variant)
+        salt_state = (ENGINE_VERSION, PACK_FORMAT_VERSION)
         memo = getattr(job, _KEY_MEMO_ATTR, None)
         if memo is not None and memo[0] == salt_state:
             return memo[1]
@@ -371,8 +294,6 @@ class ResultCache:
             "engine": ENGINE_VERSION,
             "trace_format": PACK_FORMAT_VERSION,
         }
-        if variant != "generic":
-            salts["engine_variant"] = variant
         desc = json.dumps({**salts, **fields}, sort_keys=True)
         key = sha256(desc.encode()).hexdigest()
         try:
@@ -385,10 +306,6 @@ class ResultCache:
         """Filesystem location of ``key`` (filesystem backend only —
         kept for the fault-injection helpers and layout tests)."""
         return self.backend.path_for(key)
-
-    def _flat_path(self, key: str) -> Path:
-        """Where the pre-sharding layout kept this key."""
-        return self.backend._flat_path(key)
 
     # -- the memory tier ---------------------------------------------------
 

@@ -11,7 +11,7 @@ modeling change, not an optimization, and must fail here.
 import pytest
 
 from repro.core.config import get_config
-from repro.core.processor import Processor, clear_warm_cache
+from repro.core.engine import Processor, clear_warm_cache
 from repro.core.simulation import run_simulation
 
 # (config, benchmarks, mapping, commit_target) -> seed-engine outcome.

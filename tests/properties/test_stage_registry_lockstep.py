@@ -1,64 +1,78 @@
-"""Differential lockstep suite over the stage registry.
+"""Differential lockstep suite over the two stage sets.
 
-The engine composes its (fetch, issue, commit) stage tuple once at
-construction from ``repro.core.engine.stages.STAGE_REGISTRY``; the mono
-variants' license — like the merged-ready heap's in
+The engine binds its (fetch, issue, commit) stage tuple once at
+construction: ``MONO_STAGES`` for monolithic configurations,
+``SMT_STAGES`` otherwise (``repro.core.engine.stages.stage_set_for``).
+The mono stages' license — like the merged-ready heap's in
 ``test_issue_merged_ready`` — is exactness. This suite extends that
-harness from the issue stage to fetch and commit: **every** registered
-(mono, SMT) stage combination is spliced onto a live monolithic
-processor and stepped in lockstep against the all-generic reference;
-after every cycle the complete ROB state, the pending-event schedule
-(content *and* order — events append in issue order, so equality pins
-the within-cycle pick order too) and all counters must match, and whole
-runs (``run()``, idle-skipping included) must agree on every statistic.
+harness from the issue stage to fetch and commit: **every** per-stage
+(mono, SMT) combination is spliced onto a live monolithic processor and
+stepped in lockstep against the all-generic reference; after every
+cycle the complete ROB state, the pending-event schedule (content *and*
+order — events append in issue order, so equality pins the within-cycle
+pick order too) and all counters must match, and whole runs (``run()``,
+idle-skipping included) must agree on every statistic.
 
-Because the test parametrizes over the registry rather than a hardcoded
-variant list, a newly registered stage variant is differentially tested
-against the generic stages automatically — importing
-``repro.core.engine.codegen`` below registers the generated-stage
-variant, so every (codegen, mono, smt) combination is verified here.
-
-Processors are constructed with codegen explicitly *disabled* so the
-constructor always composes the registry variant the config selects
-(mono here) regardless of ``REPRO_CODEGEN`` in the environment: the
-combos themselves splice in the codegen stages, and the reference must
-stay the pure generic machine for the differential to mean anything.
+The scenarios span every fetch policy (each mono fetch sort key is its
+own specialization of the generic one) and every single-pipeline model,
+so no specialized branch is left to the M8/flush baseline alone.
 """
 
+import dataclasses
 import itertools
-from dataclasses import replace
 
 import pytest
 
-import repro.core.engine.codegen  # noqa: F401  (registers the "codegen" variant)
 from repro.core.config import get_config
-from repro.core.engine.options import EngineOptions, engine_variant_id
-from repro.core.engine.stages import STAGE_REGISTRY, STAGE_SETS, stage_set_for
-from repro.core.processor import Processor
+from repro.core.engine import Processor
+from repro.core.engine.stages import MONO_STAGES, SMT_STAGES, stage_set_for
 from repro.trace.stream import trace_for
 
-#: Engine options pinning the constructor to the config-selected
-#: registry variant (codegen off) independent of the environment.
-_GENERIC = EngineOptions(codegen=False)
+def _mono_config(model: str = "M8", policy: str = None):
+    """A monolithic configuration, optionally under another fetch
+    policy (M8 defaults to flush, synthesized models to l1mcount)."""
+    cfg = get_config(model)
+    assert cfg.is_monolithic
+    if policy is None:
+        return cfg
+    return dataclasses.replace(cfg, name=f"{model}-{policy}", fetch_policy=policy)
 
-#: Monolithic scenarios (the mono variants' domain). The 6-thread case
-#: overcommits M8's fetch/rename thread limits so the threads-per-cycle
-#: and rotor-wrap paths are exercised.
+
+_TWO = (("mcf", "twolf"), (0, 0), 500)
+_FOUR = (("gzip", "twolf", "bzip2", "mcf"), (0, 0, 0, 0), 400)
+_SIX = (("gzip", "gcc", "crafty", "eon", "gap", "bzip2"), (0,) * 6, 300)
+
+#: Monolithic scenarios (the mono variants' domain):
+#: (id, config, benches, mapping, commit target). The 6-thread cases
+#: overcommit M8's fetch/rename thread limits so the threads-per-cycle
+#: and rotor-wrap paths are exercised. M8 runs the flush policy by
+#: default; the other three policies each get every thread count, and
+#: the narrower models run their own widths, queue sizes and the
+#: 2-cycle register file.
 SCENARIOS = [
-    ("2-thread", ("mcf", "twolf"), (0, 0), 500),
-    ("4-thread", ("gzip", "twolf", "bzip2", "mcf"), (0, 0, 0, 0), 400),
-    ("6-thread", ("gzip", "gcc", "crafty", "eon", "gap", "bzip2"),
-     (0,) * 6, 300),
+    ("2-thread", _mono_config(), *_TWO),
+    ("4-thread", _mono_config(), *_FOUR),
+    ("6-thread", _mono_config(), *_SIX),
+] + [
+    (f"{policy}-{label}", _mono_config("M8", policy), *workload)
+    for policy in ("icount", "l1mcount", "roundrobin")
+    for label, workload in (("2-thread", _TWO), ("4-thread", _FOUR),
+                            ("6-thread", _SIX))
+] + [
+    ("M6-2-thread", _mono_config("M6"), ("gcc", "eon"), (0, 0), 400),
+    ("M4-2-thread", _mono_config("M4"), ("mcf", "gzip"), (0, 0), 400),
+    ("M2-1-thread", _mono_config("M2"), ("twolf",), (0,), 300),
 ]
 
-STAGE_NAMES = sorted(STAGE_REGISTRY)  # commit, fetch, issue
+STAGE_NAMES = ("commit", "fetch", "issue")
 
-#: Every (variant per stage) combination the registry can compose.
+#: Per-stage implementations of each stage set, by set name.
+SETS_BY_NAME = {"mono": MONO_STAGES, "smt": SMT_STAGES}
+
+#: Every (stage set per stage) combination.
 COMBOS = [
     dict(zip(STAGE_NAMES, combo))
-    for combo in itertools.product(
-        *(sorted(STAGE_REGISTRY[stage]) for stage in STAGE_NAMES)
-    )
+    for combo in itertools.product(sorted(SETS_BY_NAME), repeat=len(STAGE_NAMES))
 ]
 
 
@@ -73,11 +87,11 @@ def _traces_for(benches, length=1500):
 
 
 def _compose(proc: Processor, combo: dict) -> Processor:
-    """Splice a registry combination onto a live processor (exactly what
-    __init__ does for the variant the config selects)."""
-    proc._fetch_impl = STAGE_REGISTRY["fetch"][combo["fetch"]].__get__(proc)
-    proc._issue_impl = STAGE_REGISTRY["issue"][combo["issue"]].__get__(proc)
-    proc._commit_impl = STAGE_REGISTRY["commit"][combo["commit"]].__get__(proc)
+    """Splice a per-stage combination onto a live processor (exactly what
+    __init__ does for the stage set the config selects)."""
+    proc._fetch_impl = SETS_BY_NAME[combo["fetch"]].fetch.__get__(proc)
+    proc._issue_impl = SETS_BY_NAME[combo["issue"]].issue.__get__(proc)
+    proc._commit_impl = SETS_BY_NAME[combo["commit"]].commit.__get__(proc)
     return proc
 
 
@@ -143,9 +157,8 @@ def test_registry_combo_lockstep_equals_generic_stages(combo, scenario):
     """Step the spliced combination and the all-generic reference cycle
     by cycle: the complete stage-visible state must match after every
     cycle (the ``test_issue_merged_ready`` harness, extended to the
-    fetch and commit registries)."""
-    _, benches, mapping, _ = scenario
-    cfg = replace(get_config("M8"), engine_options=_GENERIC)
+    fetch and commit stages)."""
+    _, cfg, benches, mapping, _ = scenario
     traces = _traces_for(benches)
 
     candidate = _compose(Processor(cfg, traces, mapping, 10**9), combo)
@@ -168,10 +181,9 @@ def test_registry_combo_lockstep_equals_generic_stages(combo, scenario):
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s[0])
 def test_registry_combo_full_run_equals_generic_stages(combo, scenario):
     """run() (idle-skipping fast path included) to the commit target:
-    identical cycle counts, commits and statistics for every registered
+    identical cycle counts, commits and statistics for every
     combination."""
-    _, benches, mapping, target = scenario
-    cfg = replace(get_config("M8"), engine_options=_GENERIC)
+    _, cfg, benches, mapping, target = scenario
     traces = _traces_for(benches)
 
     candidate = _compose(Processor(cfg, traces, mapping, target), combo)
@@ -187,11 +199,11 @@ def test_registry_combo_full_run_equals_generic_stages(combo, scenario):
 
 
 def test_constructor_selects_registry_variants():
-    """__init__ must bind exactly the registry's composed stage set —
-    mono variants for monolithic configurations, generic SMT stages
+    """__init__ must bind exactly ``stage_set_for(config)`` — the mono
+    stages for monolithic configurations, the generic SMT stages
     otherwise — with no per-call dispatch left."""
-    mono_cfg = replace(get_config("M8"), engine_options=_GENERIC)
-    smt_cfg = replace(get_config("2M4+2M2"), engine_options=_GENERIC)
+    mono_cfg = get_config("M8")
+    smt_cfg = get_config("2M4+2M2")
     mono = Processor(mono_cfg, _traces_for(("gzip", "twolf")), (0, 0), 100)
     smt = Processor(
         smt_cfg, _traces_for(("gzip", "twolf")), (0, 2), 100
@@ -199,8 +211,8 @@ def test_constructor_selects_registry_variants():
 
     mono_set = stage_set_for(mono_cfg)
     smt_set = stage_set_for(smt_cfg)
-    assert mono_set is STAGE_SETS["mono"]
-    assert smt_set is STAGE_SETS["smt"]
+    assert mono_set is MONO_STAGES
+    assert smt_set is SMT_STAGES
 
     assert mono._fetch_impl.__func__ is mono_set.fetch
     assert mono._issue_impl.__func__ is mono_set.issue
@@ -208,28 +220,3 @@ def test_constructor_selects_registry_variants():
     assert smt._fetch_impl.__func__ is smt_set.fetch
     assert smt._issue_impl.__func__ is smt_set.issue
     assert smt._commit_impl.__func__ is smt_set.commit
-
-
-def test_registry_is_complete_per_stage():
-    """Every registered stage offers every variant (a partially
-    registered variant would silently fall back at composition time)."""
-    variants = {frozenset(v) for v in STAGE_REGISTRY.values()}
-    assert variants == {frozenset({"smt", "mono", "codegen"})}
-    for variant, stage_set in STAGE_SETS.items():
-        for stage in STAGE_NAMES:
-            assert getattr(stage_set, stage) is STAGE_REGISTRY[stage][variant]
-
-
-def test_codegen_optin_selects_codegen_set():
-    """A configuration opted into codegen resolves to the codegen stage
-    set (highest priority), regardless of its shape; opting out resolves
-    to the shape-selected variant."""
-    on = EngineOptions(codegen=True)
-    for name in ("M8", "2M4+2M2"):
-        cfg = replace(get_config(name), engine_options=on)
-        assert stage_set_for(cfg) is STAGE_SETS["codegen"]
-        assert stage_set_for(cfg).name == "codegen"
-        assert engine_variant_id(on) == "codegen-v1"
-    assert stage_set_for(
-        replace(get_config("M8"), engine_options=_GENERIC)
-    ) is STAGE_SETS["mono"]

@@ -5,8 +5,9 @@ every cached result, because packed traces feed the simulations)."""
 import json
 
 
-from repro.runner import BatchRunner, ResultCache
+from repro.runner import BatchRunner, ResultCache, SimJob
 from repro.runner.screening import ScreenJob
+from repro.service.protocol import request_key
 
 
 
@@ -124,45 +125,6 @@ def test_entries_land_in_two_hex_shards(tmp_path, sim_job):
     assert len(cache) == 1
 
 
-def test_flat_layout_migrates_at_construction(tmp_path, sim_job):
-    """A pre-sharding cache directory upgrades in place: the old flat
-    entry is moved into its shard and keeps hitting."""
-    cache = ResultCache(tmp_path)
-    result = sim_job.execute()
-    cache.put(sim_job, result)
-    key = ResultCache.job_key(sim_job)
-    sharded = tmp_path / key[:2] / f"{key}.json"
-    flat = tmp_path / f"{key}.json"
-    flat.write_bytes(sharded.read_bytes())  # re-create the old layout
-    sharded.unlink()
-    (tmp_path / key[:2]).rmdir()
-
-    fresh = ResultCache(tmp_path)
-    assert not flat.exists()
-    assert sharded.exists()
-    assert fresh.get(sim_job) == result
-    assert fresh.hits == 1
-
-
-def test_flat_entry_read_transparently_without_migration_pass(
-    tmp_path, sim_job
-):
-    """A flat entry that appears *after* construction (written by an
-    old-layout process sharing the directory) still hits — get() falls
-    back to the flat path and migrates the entry on first touch."""
-    cache = ResultCache(tmp_path)
-    result = sim_job.execute()
-    cache.put(sim_job, result)
-    key = ResultCache.job_key(sim_job)
-    sharded = tmp_path / key[:2] / f"{key}.json"
-    flat = tmp_path / f"{key}.json"
-    sharded.rename(flat)  # demote to the old layout post-construction
-
-    assert cache.get(sim_job) == result
-    assert cache.misses == 0
-    assert sharded.exists() and not flat.exists()  # migrated on touch
-
-
 def test_migration_leaves_foreign_files_alone(tmp_path):
     (tmp_path / "README.json").write_text("{}")
     ResultCache(tmp_path)
@@ -182,3 +144,16 @@ def test_screen_job_corrupted_entry_recomputes(tmp_path):
     assert cache.get(job) is None
     cache.put(job, job.execute())
     assert cache.get(job) == result
+
+
+def test_key_bytes_are_pinned():
+    """Result-cache and service request keys for a reference job, pinned
+    to exact hex: a change to either is a cache invalidation and must be
+    deliberate (bump ENGINE_VERSION / PACK_FORMAT_VERSION instead)."""
+    job = SimJob("M8", ("gzip", "twolf"), (0, 0), 500)
+    assert ResultCache.job_key(job) == (
+        "c6d1d87dba970694eb55ad0c386db0563e361330ae40ee43b9cda8f6d7bbd633"
+    )
+    assert request_key("simulate", [job]) == (
+        "a1775b745cc4c00af8adb1954aa0b211968f2f40ade3dbf95c8629e7eabe5c64"
+    )
