@@ -164,8 +164,8 @@ def test_distributed_overhead(tmp_path, monkeypatch):
     # --- chaos acceptance run (death + stale lease + straggler hang) -----
     with BatchRunner(workers=1, trace_store=False) as ref_runner:
         chaos_reference = ref_runner.run(CHAOS_JOBS)
-    monkeypatch.setenv("REPRO_SPEC_QUANTILE", "0.25")
-    monkeypatch.setenv("REPRO_SPEC_FACTOR", "1.0")
+    monkeypatch.setattr("repro.runner.distributed.executor.SPEC_QUANTILE", 0.25)
+    monkeypatch.setattr("repro.runner.distributed.executor.SPEC_FACTOR", 1.0)
     plan = [
         {"match": "", "op": "die", "executions": [1],
          "scope": "worker", "exit_code": 17},

@@ -346,12 +346,7 @@ class BatchRunner:
             self._prepack_traces(jobs)
             if self._distributor is None:
                 self._distributor = DistributedExecutor(
-                    self.queue,
-                    policy=self.policy,
-                    report=self.report,
-                    # The shared cache powers the straggler work-stealer's
-                    # done-prefix probe (bundles cache per run).
-                    cache=self.cache,
+                    self.queue, policy=self.policy, report=self.report
                 )
             return self._distributor.run(jobs, fallback=self._run_local)
         return self._run_local(jobs)

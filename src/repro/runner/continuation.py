@@ -45,10 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ContinuationRun",
     "ContinuationJob",
-    "join_split_results",
     "plan_bundles",
     "run_bundled",
-    "split_bundle",
     "unbundle_results",
 ]
 
@@ -166,50 +164,6 @@ def plan_bundles(
     for i, run in enumerate(runs):
         buckets[i % n].append(run)
     return [ContinuationJob(runs=tuple(b)) for b in buckets]
-
-
-def split_bundle(job: ContinuationJob, parts: int) -> List[ContinuationJob]:
-    """Split ``job`` into at most ``parts`` *contiguous* sub-bundles.
-
-    This is the work-stealing cut: unlike :func:`plan_bundles` (round
-    robin over a fresh plan), a split must preserve the bundle's own run
-    order so the straggler's already-cached head and the stolen tail
-    never interleave.  The parts partition ``job.runs`` exactly — every
-    run in exactly one part, original order, sizes differing by at most
-    one (the first ``len(runs) % parts`` parts are one run larger) — so
-    concatenating the parts' result tuples in part order is the
-    bit-identical unsplit ``job.execute()`` tuple
-    (:func:`join_split_results`; pinned by the hypothesis partition
-    suite).  Deterministic in ``(job.runs, parts)``; a single-run bundle
-    (or ``parts=1``) comes back whole.
-    """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    runs = job.runs
-    n = min(len(runs), parts)
-    if n == 0:
-        return []
-    if n == 1:
-        return [job]
-    base, extra = divmod(len(runs), n)
-    out: List[ContinuationJob] = []
-    start = 0
-    for p in range(n):
-        size = base + (1 if p < extra else 0)
-        out.append(ContinuationJob(runs=runs[start:start + size]))
-        start += size
-    return out
-
-
-def join_split_results(
-    part_results: Sequence[Tuple[SimResult, ...]],
-) -> Tuple[SimResult, ...]:
-    """Invert :func:`split_bundle`: concatenate the parts' result tuples
-    (in part order) back into the unsplit bundle's result tuple."""
-    out: List[SimResult] = []
-    for results in part_results:
-        out.extend(results)
-    return tuple(out)
 
 
 def unbundle_results(

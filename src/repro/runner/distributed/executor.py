@@ -21,23 +21,14 @@ same promise — ``results[i]`` is the bit-identical outcome of
   rename) so the task becomes claimable again.  Workers reclaim too —
   self-healing is symmetric.
 * **speculative re-dispatch** — once the completion-time distribution is
-  known (``spec_quantile`` of the batch done), a task leased for longer
-  than ``spec_factor`` × the median duration gets a speculative twin
-  (``<base>~s1``).  First published result wins; the loser's bytes would
-  have been identical (idempotency), so speculation is pure tail-latency
-  insurance, never a correctness risk.
-* **work stealing** — a straggling *continuation bundle* does better
-  than a whole twin: the runs its worker already finished sit in the
-  shared result cache (bundles cache per run), so the front end probes
-  the cache for the done prefix, splits the un-started tail at run
-  boundaries (:func:`~repro.runner.continuation.split_bundle`) and
-  enqueues the parts as fresh sub-tasks (``<base>+p<j>`` — a separator
-  the twin machinery ignores, so each part publishes under its own
-  identity).  The bundle resolves from cached head + part results,
-  byte-identical to unsplit execution; the straggler publishing first
-  still wins.  ``REPRO_STEAL_PARTS`` fixes the part count (``0``
-  disables stealing, falling back to whole twins); unset sizes it to
-  the live fleet.
+  known (:data:`SPEC_QUANTILE` of the batch done), a task leased for
+  longer than :data:`SPEC_FACTOR` × the median duration (floored at
+  :data:`SPEC_MIN_SECONDS`) gets a speculative twin (``<base>~s1``).
+  First published result wins; the loser's bytes would have been
+  identical (idempotency), so speculation is pure tail-latency
+  insurance, never a correctness risk.  A twin of a continuation bundle
+  re-reads the runs its straggler already finished from the shared
+  result cache (bundles cache per run), so it only recomputes the tail.
 * **failure accounting** — worker-side failures claim machine-wide
   ordinals; when a task's count reaches the shared
   :class:`~repro.runner.resilience.RetryPolicy` attempt budget the
@@ -62,7 +53,7 @@ import os
 import statistics
 import time
 import uuid
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.distributed.queue import JobQueue, base_task_id
 from repro.runner.resilience import JobError, RetryPolicy, RunReport
@@ -74,11 +65,13 @@ logger = logging.getLogger(__name__)
 #: Suffix marking a speculative twin's task id (``<base>~s<n>``).
 _SPEC_MARK = "~s"
 
-#: Suffix marking a stolen sub-task (``<base>+p<j>``).  Deliberately not
-#: ``~``: :func:`~repro.runner.distributed.queue.base_task_id` collapses
-#: ``~`` suffixes onto the original task (first-wins publish), while
-#: every stolen part must publish under its *own* identity.
-_PART_MARK = "+p"
+#: Fraction of the batch that must have completed before straggler
+#: speculation arms (the deadline needs a distribution to take a median of).
+SPEC_QUANTILE = 0.5
+#: A task leased longer than ``SPEC_FACTOR * median(duration)`` (floored
+#: at ``SPEC_MIN_SECONDS``) gets one speculative twin.
+SPEC_FACTOR = 3.0
+SPEC_MIN_SECONDS = 1.0
 
 
 def _env_float(name: str, default: float) -> float:
@@ -90,17 +83,6 @@ def _env_float(name: str, default: float) -> float:
     except ValueError:
         logger.warning("ignoring %s=%r: not a number", name, raw)
         return default
-
-
-def _env_steal_parts() -> Optional[int]:
-    raw = os.environ.get("REPRO_STEAL_PARTS")
-    if not raw:
-        return None
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        logger.warning("ignoring REPRO_STEAL_PARTS=%r: not an integer", raw)
-        return None
 
 
 class DistributedExecutor:
@@ -116,12 +98,6 @@ class DistributedExecutor:
     lease_ttl [``REPRO_LEASE_TTL``, 10.0]
         Lease lifetime granted to workers and assumed when reading
         unparseable leases.  Workers renew at a third of this.
-    spec_quantile [``REPRO_SPEC_QUANTILE``, 0.5]
-        Fraction of the batch that must have completed before straggler
-        speculation arms (the deadline needs a distribution to quantile).
-    spec_factor [``REPRO_SPEC_FACTOR``, 3.0]
-        A task leased longer than ``spec_factor * median(duration)``
-        (floored at ``spec_min_seconds``) gets one speculative twin.
     stall_seconds [``REPRO_DIST_STALL``, 60.0]
         Result-progress watchdog: this long with pending tasks and no
         result at all drains the remainder through the local fallback.
@@ -135,22 +111,9 @@ class DistributedExecutor:
         grace: Optional[float] = None,
         lease_ttl: Optional[float] = None,
         poll_interval: float = 0.02,
-        spec_quantile: Optional[float] = None,
-        spec_factor: Optional[float] = None,
-        spec_min_seconds: float = 1.0,
         stall_seconds: Optional[float] = None,
-        cache=None,
-        steal_parts: Optional[int] = None,
     ) -> None:
         self.queue = queue
-        #: shared ResultCache for the work-stealer's done-prefix probe
-        #: (None disables stealing; stragglers get whole twins)
-        self.cache = cache
-        #: stolen-sub-task count per straggler (``REPRO_STEAL_PARTS``;
-        #: 0 disables stealing, None sizes to the live fleet)
-        self.steal_parts = (
-            steal_parts if steal_parts is not None else _env_steal_parts()
-        )
         self.policy = policy if policy is not None else RetryPolicy.from_env()
         self.report = report if report is not None else RunReport()
         self.grace = (
@@ -162,17 +125,6 @@ class DistributedExecutor:
             else _env_float("REPRO_LEASE_TTL", 10.0)
         )
         self.poll_interval = poll_interval
-        self.spec_quantile = (
-            spec_quantile
-            if spec_quantile is not None
-            else _env_float("REPRO_SPEC_QUANTILE", 0.5)
-        )
-        self.spec_factor = (
-            spec_factor
-            if spec_factor is not None
-            else _env_float("REPRO_SPEC_FACTOR", 3.0)
-        )
-        self.spec_min_seconds = spec_min_seconds
         self.stall_seconds = (
             stall_seconds
             if stall_seconds is not None
@@ -185,69 +137,6 @@ class DistributedExecutor:
         # A polling worker heartbeats every lease_ttl/3; treat anything
         # fresher than a full ttl as alive.
         return self.queue.live_workers(self.lease_ttl)
-
-    # -- work stealing -----------------------------------------------------
-
-    def _try_steal(self, job, base: str, steals: Dict[str, dict]) -> bool:
-        """Steal a straggling bundle's un-started tail into sub-tasks.
-
-        Bundles cache per *run*, so the shared cache knows exactly how
-        far the straggler got: probe forward for the first uncached run
-        (``cut``), split the tail at run boundaries and enqueue each
-        part as ``<base>+p<j>``.  Returns True when a steal was set up
-        (the caller then skips the whole-bundle twin).  A fully-cached
-        bundle steals zero parts — the assembly path resolves it from
-        the cache alone on the next loop pass."""
-        if self.cache is None or self.steal_parts == 0:
-            return False
-        from repro.runner.continuation import ContinuationJob, split_bundle
-
-        if not isinstance(job, ContinuationJob) or len(job.runs) < 2:
-            return False
-        runs = job.runs
-        cut = 0
-        while cut < len(runs) and self.cache.contains(runs[cut].as_sim_job()):
-            cut += 1
-        tail = runs[cut:]
-        part_ids = []
-        if tail:
-            k = self.steal_parts or len(self._live_workers()) or 1
-            parts = split_bundle(ContinuationJob(runs=tail), max(1, k))
-            for j, part in enumerate(parts):
-                pid = f"{base}{_PART_MARK}{j}"
-                self.queue.enqueue(pid, part)
-                part_ids.append(pid)
-        steals[base] = {
-            "cut": cut,
-            "part_ids": part_ids,
-            "collected": [None] * len(part_ids),
-        }
-        self.report.steals += 1
-        logger.warning(
-            "stealing straggler %s: %d/%d run(s) already cached, "
-            "%d sub-task(s) enqueued for the tail",
-            base, cut, len(runs), len(part_ids),
-        )
-        return True
-
-    def _assemble_steal(self, job, steal: dict, report: RunReport):
-        """The stolen bundle's result tuple: cached head + part results
-        concatenated in part order — bit-identical to unsplit execution
-        (contiguous split, order-stable join).  A head entry pruned
-        between probe and assembly just recomputes inline (idempotent)."""
-        head = []
-        for run in job.runs[:steal["cut"]]:
-            hit = self.cache.get(run.as_sim_job())
-            if hit is None:
-                hit = run.execute(self.cache)
-            head.append(hit)
-        tail = []
-        for record in steal["collected"]:
-            tail.extend(record["result"])
-            report.attempts += 1
-            report.job_seconds.append(float(record.get("seconds", 0.0)))
-            report.absorb_worker_stats(record.get("stats"))
-        return tuple(head) + tuple(tail)
 
     # -- execution ---------------------------------------------------------
 
@@ -307,8 +196,6 @@ class DistributedExecutor:
         lease_deadlines: Dict[str, Tuple[float, float]] = {}
         failures_counted: Dict[str, int] = {}
         spec_issued: set = set()
-        #: base -> in-progress steal of a straggling bundle's tail
-        steals: Dict[str, dict] = {}
         now = time.monotonic()
         last_result = now
         last_live = now
@@ -322,28 +209,11 @@ class DistributedExecutor:
                 if record is None:
                     continue
                 i = pending.pop(base)
-                steals.pop(base, None)  # the straggler won after all
                 results[i] = record["result"]
                 durations.append(float(record.get("seconds", 0.0)))
                 report.attempts += 1
                 report.job_seconds.append(float(record.get("seconds", 0.0)))
                 report.absorb_worker_stats(record.get("stats"))
-                progressed = True
-
-            # -- harvest stolen sub-tasks ------------------------------
-            for base, steal in list(steals.items()):
-                if base not in pending:
-                    del steals[base]
-                    continue
-                collected = steal["collected"]
-                for j, pid in enumerate(steal["part_ids"]):
-                    if collected[j] is None:
-                        collected[j] = self.queue.load_result(pid)
-                if any(record is None for record in collected):
-                    continue
-                i = pending.pop(base)
-                del steals[base]
-                results[i] = self._assemble_steal(jobs[i], steal, report)
                 progressed = True
 
             if progressed:
@@ -352,14 +222,7 @@ class DistributedExecutor:
                 break
 
             # -- failure accounting (worker-side attempt ordinals) -----
-            watched = [(base, base) for base in pending]
-            watched.extend(
-                (pid, base)
-                for base, steal in steals.items()
-                if base in pending
-                for pid in steal["part_ids"]
-            )
-            for tid, base in watched:
+            for tid, i in pending.items():
                 count = self.queue.failure_count(tid)
                 seen = failures_counted.get(tid, 0)
                 if count > seen:
@@ -372,9 +235,9 @@ class DistributedExecutor:
                     report.failures += 1
                     last = self.queue.last_failure(tid) or "unknown error"
                     raise JobError(
-                        f"job {pending[base]} ({tid}) failed on {count} "
+                        f"job {i} ({tid}) failed on {count} "
                         f"distributed attempt(s); last failure: {last}",
-                        job=jobs[pending[base]],
+                        job=jobs[i],
                         attempts=count,
                     )
 
@@ -387,18 +250,8 @@ class DistributedExecutor:
             # suspend/resume mid-wait can neither spuriously expire a
             # healthy lease nor immortalize a dead one.  A renewal
             # writes a fresh stamp, which re-converts.
-            active_parts = {
-                pid
-                for base, steal in steals.items()
-                if base in pending
-                for pid in steal["part_ids"]
-            }
             for lease in self.queue.leases(self.lease_ttl):
-                base = base_task_id(lease.task_id)
-                # A stolen part's id contains no "~", so its base is
-                # itself — track it like a first-class task so a worker
-                # dying mid-part still gets its lease reclaimed.
-                if base not in pending and base not in active_parts:
+                if base_task_id(lease.task_id) not in pending:
                     lease_deadlines.pop(lease.task_id, None)
                     continue
                 known = lease_deadlines.get(lease.task_id)
@@ -422,27 +275,19 @@ class DistributedExecutor:
 
             # -- speculative straggler re-dispatch ---------------------
             done = n - len(pending)
-            if durations and done >= max(1, int(self.spec_quantile * n)):
+            if durations and done >= max(1, int(SPEC_QUANTILE * n)):
                 median = statistics.median(durations)
-                threshold = max(self.spec_min_seconds,
-                                self.spec_factor * median)
+                threshold = max(SPEC_MIN_SECONDS, SPEC_FACTOR * median)
                 now = time.monotonic()
                 for tid, started in list(first_leased.items()):
                     base = base_task_id(tid)
                     if base not in pending or base in spec_issued:
                         continue
-                    if _SPEC_MARK in tid or _PART_MARK in tid:
-                        continue  # never speculate on a rescue dispatch
+                    if _SPEC_MARK in tid:
+                        continue  # never speculate on a twin
                     if now - started <= threshold:
                         continue
                     spec_issued.add(base)
-                    if self._try_steal(jobs[pending[base]], base, steals):
-                        logger.warning(
-                            "task %s still running after %.2fs (median "
-                            "%.2fs); stole its un-started tail",
-                            tid, now - started, median,
-                        )
-                        continue
                     report.speculations += 1
                     logger.warning(
                         "task %s still running after %.2fs (median %.2fs); "

@@ -74,8 +74,10 @@ def test_figures_report_json(tmp_path, capsys):
 
     payload = json.loads(out_path.read_text())
     for key in ("jobs", "attempts", "retries", "enqueued", "lease_reclaims",
-                "speculations", "local_fallbacks"):
+                "speculations", "local_fallbacks", "job_seconds_total",
+                "job_seconds_max"):
         assert key in payload
+    assert "job_seconds" not in payload  # bounded: no per-job list
     assert payload["jobs"] > 0
 
 

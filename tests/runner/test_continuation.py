@@ -8,6 +8,7 @@ one-job-per-run scheduler used to dispatch.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.simulation import run_simulation
 from repro.experiments.performance import (
@@ -21,6 +22,7 @@ from repro.runner.continuation import (
     ContinuationJob,
     ContinuationRun,
     plan_bundles,
+    unbundle_results,
 )
 from repro.workloads.definitions import get_workload
 
@@ -52,6 +54,16 @@ def test_bundles_partition_the_plan_exactly(n_runs, bundle_count):
     assert flat == runs
     # Resume counts cover the plan exactly.
     assert sum(job.resume_count for job in jobs) == n_runs
+
+
+@given(n=st.integers(0, 30), bundles=st.integers(1, 10))
+def test_plan_unbundle_round_trip(n, bundles):
+    """unbundle_results inverts plan_bundles for any plan shape:
+    per-bundle results come back in original run order."""
+    runs = [_run(i) for i in range(n)]
+    jobs = plan_bundles(runs, bundles)
+    fake = [tuple(r.commit_target for r in job.runs) for job in jobs]
+    assert unbundle_results(fake, n) == [r.commit_target for r in runs]
 
 
 def test_bundle_count_must_be_positive():

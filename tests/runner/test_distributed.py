@@ -21,6 +21,7 @@ from repro.runner.distributed import DistributedExecutor, Worker
 from repro.runner.distributed.queue import base_task_id
 
 GENEROUS = 60.0
+_EXECUTOR = "repro.runner.distributed.executor"
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +36,13 @@ class Servicer(threading.Thread):
     ``abandon_first``: claim the first (non-speculative) task seen, let
     the lease die unrenewed, and skip it once (a worker that vanished
     mid-task).  ``hold_first``: claim it on a long lease and never
-    finish (a straggler) — speculation's prey.
+    finish (a straggler) — speculation's prey.  ``delay_first``: claim
+    it on a long lease and finish it that many seconds later (a slow but
+    live worker).
     """
 
     def __init__(self, queue_dir, worker_id="svc", lease_ttl=GENEROUS,
-                 abandon_first=False, hold_first=False):
+                 abandon_first=False, hold_first=False, delay_first=None):
         super().__init__(daemon=True)
         self.worker = Worker(queue_dir, worker_id=worker_id,
                              lease_ttl=lease_ttl)
@@ -47,13 +50,21 @@ class Servicer(threading.Thread):
         self.worker_id = worker_id
         self.abandon_first = abandon_first
         self.hold_first = hold_first
+        self.delay_first = delay_first
         self.stop = threading.Event()
         self.executed = []
 
     def run(self):
         sabotaged = None
+        delayed = None  # (release time, task_id, job)
         while not self.stop.is_set():
             self.queue.heartbeat_worker(self.worker_id)
+            if delayed is not None and time.monotonic() >= delayed[0]:
+                _, task_id, job = delayed
+                delayed = None
+                self.worker._execute_claimed(task_id, job)
+                self.executed.append(task_id)
+                continue
             claimed = self.worker._claim_next()
             if claimed is None:
                 time.sleep(0.01)
@@ -74,6 +85,11 @@ class Servicer(threading.Thread):
                 if self.hold_first:
                     sabotaged = task_id
                     continue  # lease held (long ttl), never finishes
+                if self.delay_first is not None:
+                    sabotaged = task_id
+                    delayed = (time.monotonic() + self.delay_first,
+                               task_id, job)
+                    continue  # lease held (long ttl), finishes later
             self.worker._execute_claimed(task_id, job)
             self.executed.append(task_id)
 
@@ -166,12 +182,14 @@ def test_expired_lease_is_reclaimed_and_redispatched(tmp_path, sim_jobs,
 
 
 def test_straggler_gets_speculative_twin(tmp_path, sim_jobs,
-                                         reference_results):
+                                         reference_results, monkeypatch):
+    monkeypatch.setattr(f"{_EXECUTOR}.SPEC_QUANTILE", 0.25)
+    monkeypatch.setattr(f"{_EXECUTOR}.SPEC_FACTOR", 1.0)
+    monkeypatch.setattr(f"{_EXECUTOR}.SPEC_MIN_SECONDS", 0.2)
     q = JobQueue(tmp_path / "q")
     report = RunReport()
     executor = DistributedExecutor(
         q, report=report, grace=GENEROUS, lease_ttl=GENEROUS,
-        spec_quantile=0.25, spec_factor=1.0, spec_min_seconds=0.2,
         stall_seconds=GENEROUS,
     )
     svc = Servicer(tmp_path / "q", hold_first=True)
@@ -185,6 +203,48 @@ def test_straggler_gets_speculative_twin(tmp_path, sim_jobs,
     assert report.lease_reclaims == 0  # the straggler's lease never expired
     assert report.failures == 0
     assert any("~s" in tid for tid in svc.executed)  # the twin ran
+
+
+def test_speculation_waits_for_the_min_seconds_floor(
+        tmp_path, sim_jobs, reference_results, monkeypatch):
+    """A task slower than SPEC_FACTOR x the median but still inside
+    SPEC_MIN_SECONDS gets no twin: the floor bounds the threshold."""
+    monkeypatch.setattr(f"{_EXECUTOR}.SPEC_QUANTILE", 0.25)
+    monkeypatch.setattr(f"{_EXECUTOR}.SPEC_FACTOR", 1.0)
+    monkeypatch.setattr(f"{_EXECUTOR}.SPEC_MIN_SECONDS", GENEROUS)
+    q = JobQueue(tmp_path / "q")
+    report = RunReport()
+    executor = DistributedExecutor(
+        q, report=report, grace=GENEROUS, lease_ttl=GENEROUS,
+        stall_seconds=GENEROUS,
+    )
+    svc = Servicer(tmp_path / "q", delay_first=1.0)
+    svc.start()
+    try:
+        results = executor.run(list(sim_jobs), fallback=_must_not_run)
+    finally:
+        svc.join_stopped()
+    assert results == reference_results
+    assert report.speculations == 0
+    assert not any("~s" in tid for tid in svc.executed)
+    assert report.failures == 0
+
+
+def test_speculation_tuning_is_fixed_module_constants():
+    """The straggler deadline is set by module constants (median-based,
+    3x, floored at 1 s); the executor takes no tuning or stealing
+    parameters."""
+    import inspect
+
+    from repro.runner.distributed import executor as executor_mod
+
+    assert executor_mod.SPEC_QUANTILE == 0.5
+    assert executor_mod.SPEC_FACTOR == 3.0
+    assert executor_mod.SPEC_MIN_SECONDS == 1.0
+    params = inspect.signature(DistributedExecutor).parameters
+    for retired in ("cache", "steal_parts", "spec_quantile", "spec_factor",
+                    "spec_min_seconds"):
+        assert retired not in params
 
 
 def test_exhausted_failure_budget_raises_joberror(tmp_path, sim_jobs):

@@ -195,6 +195,28 @@ def test_expired_unstarted_future_is_cancelled_without_penalty():
     assert ex._pool is pool  # the healthy pool survived
 
 
+def test_expired_running_job_is_retried_whole():
+    """A job still running past its deadline is charged a timeout, the
+    hung pool is killed, and the same batch position is retried whole at
+    the next attempt — even with idle workers to spare."""
+    ex, pool = _stub_executor(
+        policy=RetryPolicy(timeout=5.0, backoff_base=0.0), max_workers=4
+    )
+    jobs = ["bundle"]
+    st = _BatchState(1)
+    ex._submit_queued(jobs, st)
+    (fut,) = pool.submitted
+    assert fut.set_running_or_notify_cancel()  # started: cannot cancel
+    st.inflight[fut].deadline = time.monotonic() - 1.0
+    ex._check_deadlines(jobs, st)
+    assert [(i, a) for _, _, i, a in st.retries] == [(0, 2)]
+    assert not st.inflight and not st.queue
+    assert ex.report.timeouts == 1
+    assert ex.report.pool_respawns == 1
+    assert ex.report.split_rescues == 0
+    assert ex._pool is None  # the hung pool was torn down
+
+
 def test_salvage_charges_completed_failures_their_attempt():
     """A future that finished with a real job exception before the pool
     went down counts the attempt (a deterministic failure must not dodge
@@ -321,6 +343,35 @@ def test_run_report_merge_and_dict_round_trip():
     assert a.eventful  # retries + respawns fired
     assert not RunReport(jobs=5, attempts=5).eventful
     assert "1 retries" in a.describe()
+
+
+def test_run_report_dict_size_is_independent_of_job_count():
+    """as_dict() (the status reply and --report-json body) summarises
+    job_seconds instead of carrying the per-job list, so its shape does
+    not grow with the number of jobs served."""
+    small = RunReport(jobs=3, job_seconds=[0.5] * 3)
+    large = RunReport(jobs=3000, job_seconds=[0.5] * 3000)
+    for report in (small, large):
+        d = report.as_dict()
+        assert "job_seconds" not in d
+        assert all(not isinstance(v, (list, dict)) for v in d.values())
+    assert small.as_dict().keys() == large.as_dict().keys()
+    assert large.as_dict()["job_seconds_total"] == pytest.approx(1500.0)
+    assert large.as_dict()["job_seconds_max"] == pytest.approx(0.5)
+    assert len(large.job_seconds) == 3000  # the list itself is kept
+
+
+def test_retired_straggler_counters_stay_zero():
+    """steals/split_rescues survive as fields for report readers, but no
+    path counts them and no summary mentions them."""
+    a = RunReport(jobs=2, speculations=1, timeouts=1)
+    a.merge(RunReport(jobs=1, speculations=1))
+    assert (a.steals, a.split_rescues) == (0, 0)
+    assert "steals" not in a.as_dict()
+    assert "split_rescues" not in a.as_dict()
+    text = a.describe()
+    assert "steal" not in text and "split" not in text
+    assert not RunReport(jobs=1, attempts=1).eventful
 
 
 def test_report_absorbs_worker_stats():

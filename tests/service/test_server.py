@@ -540,6 +540,41 @@ def test_service_client_round_trip(runner, tmp_path):
     assert status["cache_served"] == 1
 
 
+def _numbers_masked(value):
+    """``value`` with every number replaced by 0, so a frame's byte size
+    measures its shape rather than its counter values."""
+    if isinstance(value, dict):
+        return {k: _numbers_masked(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_numbers_masked(v) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return 0
+    return value
+
+
+def test_status_frame_does_not_grow_with_jobs_served(runner, tmp_path):
+    """The status reply is bounded: it has the same (number-masked) byte
+    size after N and after 2N served jobs."""
+    n = 3
+
+    async def scenario(service, sockpath):
+        def work():
+            client = ServiceClient(socket_path=sockpath, timeout=60)
+            sizes = []
+            for seed in range(2 * n):
+                client.submit("simulate", dict(SIM_SPEC, seed=10 + seed))
+                if seed + 1 in (n, 2 * n):
+                    status = _numbers_masked(client.status())
+                    sizes.append(len(json.dumps(status, sort_keys=True)))
+            return sizes
+
+        return await run_client(work)
+
+    after_n, after_2n = serve(runner, scenario, tmp_path)
+    assert runner.report.jobs == 2 * n
+    assert after_2n == after_n
+
+
 def test_client_rejects_protocol_mismatch(runner, tmp_path, monkeypatch):
     import repro.service.client as client_mod
 
