@@ -30,7 +30,8 @@
 #                 warm resubmission from cache, SIGTERM drain with no
 #                 orphaned pool workers (the CI serve-smoke lane)
 #   make ci       what the GitHub Actions workflow runs: tier-1 suite +
-#                 a smoke `figures` sweep (tiny scale, 2 workers)
+#                 the smoke `figures` sweeps (tiny scale, screening and
+#                 exact), each diffed between --jobs 1 and --jobs 2
 #
 # Knobs: REPRO_SIM_SCALE (window scale), REPRO_WORKERS (BatchRunner
 # processes), REPRO_RESULT_CACHE (on-disk result cache directory),
@@ -85,8 +86,13 @@ bench-throughput:
 figures:
 	$(PYTHON) -m repro figures
 
+SMOKE = REPRO_SIM_SCALE=0.1 REPRO_MAX_MAPPINGS=4 $(PYTHON) -m repro figures \
+	--workloads 2W4 4W6 --quiet
+
 ci: test
-	REPRO_SIM_SCALE=0.1 REPRO_MAX_MAPPINGS=4 $(PYTHON) -m repro figures \
-		--jobs 2 --screening --workloads 2W4 4W6 --quiet
-	REPRO_SIM_SCALE=0.1 REPRO_MAX_MAPPINGS=4 $(PYTHON) -m repro figures \
-		--jobs 2 --workloads 2W4 4W6 --quiet
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for mode in --screening ""; do \
+		$(SMOKE) --jobs 2 $$mode > "$$tmp/jobs2.txt" && \
+		$(SMOKE) --jobs 1 $$mode > "$$tmp/jobs1.txt" && \
+		diff "$$tmp/jobs1.txt" "$$tmp/jobs2.txt" || exit 1; \
+	done

@@ -69,7 +69,7 @@ from repro.runner.continuation import (
     unbundle_results,
 )
 from repro.runner.screening import ScreenJob
-from repro.trace.profiling import profile_benchmark
+from repro.trace.profiling import prefetch_profiles, profile_benchmark
 from repro.workloads.definitions import WORKLOADS, Workload, get_workload
 
 __all__ = [
@@ -397,7 +397,11 @@ def run_performance_experiment(
     ``workers`` (or an explicit ``runner``) parallelizes the sweep; every
     screening round is one batch *across* all (configuration, workload)
     pairs, so the pool stays saturated through the sweep tail. The
-    produced tables are identical to a sequential sweep.
+    heuristic's profile passes run first, as one batch of
+    :class:`~repro.trace.profiling.ProfileJob` over the benchmarks the
+    uncached non-monolithic pairs need (kept off ``runner.report``'s
+    job counts). The produced tables are identical to a sequential
+    sweep.
 
     ``screening=True`` enables successive-halving oracle screening — a
     validated approximation (same selections as exact mode on the
@@ -429,11 +433,18 @@ def run_performance_experiment(
                 if w.num_threads > config.contexts_for(w.num_threads):
                     continue  # workload does not fit this configuration
                 pairs.append((cn, w))
-        todo = [
-            _plan_pair(cn, w, scale, screening)
-            for cn, w in pairs
+        pending = [
+            (cn, w) for cn, w in pairs
             if _cache_key(cn, w.name, scale, screening) not in _CACHE
         ]
+        # The heuristic of every non-monolithic pair sorts by profiled
+        # misses: profile those benchmarks as one batch on the pool.
+        prefetch_profiles(
+            (b for cn, w in pending if not get_config(cn).is_monolithic
+             for b in w.benchmarks),
+            runner.run,
+        )
+        todo = [_plan_pair(cn, w, scale, screening) for cn, w in pending]
         if todo:
             if progress:  # pragma: no cover - console feedback only
                 print(f"  sweep: {len(todo)} (config, workload) pairs ...",

@@ -29,13 +29,20 @@ every request of a long-lived process on one shared runner.  After
 Workers share two content-addressed stores through one directory:
 
 * a :class:`~repro.trace.packed.PackedTraceStore` — before a parallel
-  batch launches, the parent packs every trace the batch needs (each
-  job's :meth:`~repro.runner.jobs.Job.trace_manifest`) into the store,
-  so cold workers mmap the packed buffers instead of re-running
+  batch launches, every trace the batch needs (each job's
+  :meth:`~repro.runner.jobs.Job.trace_manifest`) is packed into the
+  store, so cold workers mmap the packed buffers instead of re-running
   :class:`~repro.trace.synthetic.TraceGenerator`;
 * a warm-snapshot store (see :func:`repro.core.engine.set_warm_store`)
-  — the first process to warm a trace set persists the structure state,
-  every other process restores it.
+  — one snapshot per (memory parameters, trace set) is written before
+  the batch too, and any process warming a set restores it.
+
+:func:`plan_prepack` turns a batch into two rounds of front-end jobs
+(``Job.front_end``): round 1 packs each missing trace, round 2 writes
+each missing warm snapshot, so each is still computed once machine-wide.
+Without a job queue both rounds run on the worker pool; with one they run
+inline in the parent, which never starts a local pool to prepare a fleet
+batch.
 
 The store directory defaults to ``REPRO_TRACE_CACHE`` (persistent across
 runs) or, failing that, a private temporary directory cleaned up with the
@@ -48,14 +55,21 @@ import logging
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import ClassVar, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.config import get_config
+from repro.core.engine import ensure_warm_snapshot
+from repro.core.engine.warm import warm_snapshot_path
+from repro.memory.hierarchy import MemoryParams
 from repro.runner.cache import ResultCache
 from repro.runner.distributed import DistributedExecutor, JobQueue
-from repro.runner.jobs import SimJob
+from repro.runner.jobs import SimJob, Triple
 from repro.runner.resilience import RetryPolicy, RunReport, SupervisedExecutor
+from repro.trace.packed import PackedTrace, PackedTraceStore
+from repro.trace.stream import _JUNK_LEN, trace_for
 
-__all__ = ["BatchRunner", "SimJob", "resolve_workers"]
+__all__ = ["BatchRunner", "SimJob", "plan_prepack", "resolve_workers"]
 
 logger = logging.getLogger(__name__)
 
@@ -155,6 +169,86 @@ def _execute_job_supervised(job):
     result = job.execute(cache)
     stats = {"cache_fallbacks": cache.corrupt_fallbacks if cache else 0}
     return result, stats
+
+
+@dataclass(frozen=True)
+class _PackJob:
+    """Prepack round 1: pack one trace into the shared store."""
+
+    store_dir: str
+    triple: Triple
+
+    heavy: ClassVar[bool] = False
+    front_end: ClassVar[bool] = True
+
+    def execute(self, cache=None) -> None:
+        name, length, instance = self.triple
+        PackedTraceStore(self.store_dir).save(
+            PackedTrace.from_trace(trace_for(name, length, instance)),
+            name, length, instance,
+        )
+
+    def trace_manifest(self) -> Tuple:
+        return ()
+
+
+@dataclass(frozen=True)
+class _WarmJob:
+    """Prepack round 2: write one (memory parameters, trace set) warm
+    snapshot; its traces come from the store round 1 filled."""
+
+    store_dir: str
+    memory_params: MemoryParams
+    triples: Tuple[Triple, ...]
+
+    heavy: ClassVar[bool] = False
+    front_end: ClassVar[bool] = True
+
+    def execute(self, cache=None) -> None:
+        # The store, not generation, serves traces this process lacks:
+        # round 1 may have packed them in other processes.
+        store = PackedTraceStore(self.store_dir)
+        ensure_warm_snapshot(self.store_dir, self.memory_params,
+                             [trace_for(*t, store=store) for t in self.triples])
+
+    def trace_manifest(self) -> Tuple:
+        return ()
+
+
+def plan_prepack(
+    jobs: Sequence, store_dir: str, packed: Set[Triple]
+) -> Tuple[List[_PackJob], List[_WarmJob]]:
+    """The two prepack rounds ``jobs`` need in the store at ``store_dir``.
+
+    Round 1 packs each distinct trace of the jobs' manifests that is
+    neither in ``packed`` nor in the store; round 2 writes each distinct
+    (memory parameters, trace set) warm snapshot the store lacks. Round 2
+    reads round 1's traces, so it must run after it. ``packed`` is the
+    caller's memo of traces known to be in the store: every trace seen
+    here is added to it.
+    """
+    store = PackedTraceStore(store_dir)
+    pack: dict = {}
+    warm: dict = {}
+    for job in jobs:
+        for unit in job.trace_manifest():
+            for triple in unit.triples:
+                if triple in packed:
+                    continue
+                packed.add(triple)
+                if not store.contains(*triple, _JUNK_LEN):
+                    pack[triple] = _PackJob(store_dir, triple)
+            if unit.config is None:
+                continue
+            config = unit.config
+            if isinstance(config, str):
+                config = get_config(config)
+            key = (config.params.memory, unit.triples)
+            if key not in warm and not os.path.exists(warm_snapshot_path(
+                store_dir, key[0], len(unit.triples), unit.triples
+            )):
+                warm[key] = _WarmJob(store_dir, *key)
+    return list(pack.values()), list(warm.values())
 
 
 class BatchRunner:
@@ -339,6 +433,8 @@ class BatchRunner:
             # otherwise resurrect the pool with its temp store gone.
             raise RuntimeError("BatchRunner is closed")
         jobs = list(jobs)
+        if jobs and all(job.front_end for job in jobs):
+            return self._run_front_end(jobs)
         self.jobs_run += len(jobs)
         if self.queue is not None and len(jobs) >= self._min_parallel(jobs):
             # Workers need the packed traces / warm snapshots just like
@@ -359,14 +455,17 @@ class BatchRunner:
             else _MIN_PARALLEL_JOBS
         )
 
-    def _run_local(self, jobs: Sequence) -> List:
+    def _run_local(self, jobs: Sequence,
+                   report: Optional[RunReport] = None) -> List:
         """The local execution ladder: inline for small batches or a
         single worker, the supervised pool otherwise.  Also the fallback
         the distributed front end drains into, so a remainder handed
-        back mid-batch re-decides inline-vs-pool on its own size."""
+        back mid-batch re-decides inline-vs-pool on its own size.  The
+        batch is booked in ``report`` (default: ``self.report``)."""
         jobs = list(jobs)
+        report = report if report is not None else self.report
         if self.workers <= 1 or len(jobs) < self._min_parallel(jobs):
-            return self._run_inline(jobs)
+            return self._run_inline(jobs, report)
         self._prepack_traces(jobs)
         if self._supervisor is None:
             self._supervisor = SupervisedExecutor(
@@ -378,7 +477,7 @@ class BatchRunner:
                 max_inflight=self.workers,
             )
         try:
-            return self._supervisor.run(jobs)
+            return self._supervisor.run(jobs, report)
         except KeyboardInterrupt:
             # The supervisor already killed its pool and cancelled the
             # outstanding futures on the way out; drop it so a resumed
@@ -386,9 +485,28 @@ class BatchRunner:
             self._supervisor = None
             raise
 
-    def _run_inline(self, jobs: Sequence) -> List:
+    def _run_front_end(self, jobs: List) -> List:
+        """Run front-end jobs (``Job.front_end``: profile passes, prepack
+        rounds) on the local ladder, or inline in the parent when a job
+        queue is configured — a fleet runner never starts a local pool
+        to prepare a batch.
+
+        They stay off the caller's books: ``report.jobs``, ``batches``,
+        ``attempts``, ``wall_seconds`` and ``job_seconds`` count the
+        caller's jobs only, while recovery events (retries, pool
+        respawns, ...) still reach ``report``.
+        """
+        books = RunReport()
+        if self.queue is None:
+            results = self._run_local(jobs, books)
+        else:
+            results = self._run_inline(jobs, books)
+        self.report.merge(replace(books, jobs=0, batches=0, attempts=0,
+                                  wall_seconds=0.0, job_seconds=[]))
+        return results
+
+    def _run_inline(self, jobs: Sequence, report: RunReport) -> List:
         """Sequential execution with the same report bookkeeping."""
-        report = self.report
         report.batches += 1
         report.jobs += len(jobs)
         import time as _time
@@ -429,49 +547,24 @@ class BatchRunner:
     def _prepack_traces(self, jobs: Sequence) -> None:
         """Pack the batch's traces and warm snapshots into the shared store.
 
-        Distinct traces are generated (or taken from the parent's memo)
-        exactly once, machine-wide: workers mmap the packed buffers and
-        skip :class:`~repro.trace.synthetic.TraceGenerator` entirely. The
-        matching post-warm structure snapshots are precomputed too, so
-        concurrent workers hitting the same workload at the same moment
-        load one snapshot instead of racing to compute identical ones.
-        The needs of a job — whatever its kind — come uniformly from its
+        The two rounds of :func:`plan_prepack` run as front-end batches
+        (see :meth:`_run_front_end`): on the worker pool without a job
+        queue, inline in the parent with one. Distinct traces are still
+        generated exactly once, machine-wide: workers mmap the packed
+        buffers and skip :class:`~repro.trace.synthetic.TraceGenerator`
+        entirely. The matching post-warm structure snapshots are
+        precomputed too, so concurrent workers hitting the same workload
+        at the same moment load one snapshot instead of racing to
+        compute identical ones. The needs of a job — whatever its kind —
+        come uniformly from its
         :meth:`~repro.runner.jobs.Job.trace_manifest`.
         """
         if self.store_dir is None:
             return
-        from repro.core.config import get_config
-        from repro.core.engine import ensure_warm_snapshot
-        from repro.trace.packed import PackedTrace, PackedTraceStore
-        from repro.trace.stream import _JUNK_LEN, trace_for
-
-        store: Optional[PackedTraceStore] = None
-        packed_triples = self._packed_triples
-        warm_sets = {}
-        for job in jobs:
-            for unit in job.trace_manifest():
-                for triple in unit.triples:
-                    if triple in packed_triples:
-                        continue
-                    if store is None:
-                        store = PackedTraceStore(self.store_dir)
-                    name, length, instance = triple
-                    if not store.contains(name, length, instance, _JUNK_LEN):
-                        trace = trace_for(name, length, instance)
-                        store.save(
-                            PackedTrace.from_trace(trace), name, length, instance
-                        )
-                    packed_triples.add(triple)
-                if unit.config is not None:
-                    config = unit.config
-                    if isinstance(config, str):
-                        config = get_config(config)
-                    warm_sets.setdefault(
-                        (config.params.memory, unit.triples), None
-                    )
-        for memory_params, triples in warm_sets:
-            traces = [trace_for(*t) for t in triples]
-            ensure_warm_snapshot(self.store_dir, memory_params, traces)
+        for round_jobs in plan_prepack(jobs, self.store_dir,
+                                       self._packed_triples):
+            if round_jobs:
+                self._run_front_end(round_jobs)
 
     def run_one(self, job):
         """Execute a single job inline (cache-aware)."""

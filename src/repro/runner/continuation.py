@@ -123,6 +123,7 @@ class ContinuationJob:
     #: BatchRunner parallelizes batches of heavy jobs at 2+ jobs (a
     #: bundle amortizes its dispatch overhead by construction).
     heavy: ClassVar[bool] = True
+    front_end: ClassVar[bool] = False
 
     @property
     def resume_count(self) -> int:

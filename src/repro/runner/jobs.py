@@ -14,6 +14,13 @@ dispatch/cache/prepack path:
     bundle) amortizes its dispatch overhead by construction, so the
     runner parallelizes batches of heavy jobs at 2+ jobs instead of 3+.
 
+``front_end``
+    A front-end job prepares a batch rather than being part of one: a
+    sweep's profile passes, the runner's own trace packing and warm
+    snapshots. The runner keeps such jobs off the caller's
+    :class:`~repro.runner.resilience.RunReport` books and never sends
+    them to a distributed fleet. Every caller-facing job sets it False.
+
 ``execute(cache=None)``
     Run the job in this process. A cache-aware job consults/populates
     the given :class:`~repro.runner.cache.ResultCache` itself (under its
@@ -24,8 +31,8 @@ dispatch/cache/prepack path:
 ``trace_manifest()``
     The job's trace needs, as :class:`TraceUnit` records — one per
     independent simulation the job contains. The BatchRunner parent
-    iterates these to pre-pack traces and warm snapshots into the shared
-    store before a parallel batch launches, with no per-job-kind
+    plans from these the trace packing and warm snapshots the shared
+    store needs before a parallel batch launches, with no per-job-kind
     special-casing.
 
 ``cache_key_fields()``
@@ -91,6 +98,7 @@ class Job(Protocol):
     """What :class:`~repro.runner.batch.BatchRunner` requires of a job."""
 
     heavy: bool
+    front_end: bool
 
     def execute(self, cache: Optional["ResultCache"] = None) -> Any:
         """Run in this process (cache-aware when a cache is given)."""
@@ -120,6 +128,7 @@ class SimJob:
     #: plain per-run jobs don't amortize dispatch; the runner requires a
     #: slightly larger batch before spinning up the pool.
     heavy: ClassVar[bool] = False
+    front_end: ClassVar[bool] = False
 
     def execute(self, cache: Optional["ResultCache"] = None) -> SimResult:
         """Run the simulation described by this job (in this process),

@@ -394,14 +394,16 @@ class SupervisedExecutor:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, jobs: Sequence) -> List:
+    def run(self, jobs: Sequence, report: Optional[RunReport] = None) -> List:
         """Execute every job with supervision; ``results[i]`` corresponds
-        to ``jobs[i]`` exactly as the unsupervised path's did."""
+        to ``jobs[i]`` exactly as the unsupervised path's did. The batch
+        is booked in ``report`` (default: the executor's own)."""
         jobs = list(jobs)
         if not jobs:
             return []
         self._inline_only = False
-        report = self.report
+        own = self.report
+        report = self.report = report if report is not None else own
         report.batches += 1
         report.jobs += len(jobs)
         st = _BatchState(len(jobs))
@@ -416,6 +418,7 @@ class SupervisedExecutor:
             raise
         finally:
             report.wall_seconds += time.monotonic() - t0
+            self.report = own
         return st.results
 
     def _drive(self, jobs: List, st: _BatchState) -> None:

@@ -269,6 +269,7 @@ class ScreenJob:
     #: BatchRunner parallelizes batches of heavy jobs at 2+ jobs (a
     #: whole ladder amortizes its dispatch overhead by construction).
     heavy: ClassVar[bool] = True
+    front_end: ClassVar[bool] = False
     keep: float = 0.5
     top_fraction: float = 0.5
     min_survivors: int = 3

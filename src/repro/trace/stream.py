@@ -262,7 +262,8 @@ def active_trace_store() -> Optional[PackedTraceStore]:
     return _STORE
 
 
-def trace_for(name: str, length: int, instance: int = 0) -> Trace:
+def trace_for(name: str, length: int, instance: int = 0,
+              store: Optional[PackedTraceStore] = None) -> Trace:
     """Return (building if needed) the trace for benchmark ``name``.
 
     ``instance`` differentiates multiple occurrences of the same benchmark
@@ -271,15 +272,17 @@ def trace_for(name: str, length: int, instance: int = 0) -> Trace:
     running against itself in a hypothetical workload could use distinct
     instances.
 
-    Lookup order: process memo, then the active packed store (zero-copy
-    mmap load), then generation — which optionally persists the packed
-    form back to the store for other processes.
+    Lookup order: process memo, then the packed store — ``store``, or
+    the process store (:func:`set_trace_store`) when None — as a
+    zero-copy mmap load, then generation — which optionally persists the
+    packed form back to the store for other processes.
     """
     key = (name, length, instance)
     trace = _CACHE.get(key)
     if trace is None:
         profile = get_benchmark(name)
-        store = _STORE
+        if store is None:
+            store = _STORE
         packed = (
             store.load(name, length, instance, _JUNK_LEN)
             if store is not None
