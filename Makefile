@@ -1,17 +1,20 @@
 # hdSMT reproduction — one-keystroke entry points.
 #
 #   make test     tier-1 suite (what CI / the roadmap gate runs)
-#   make bench    opt-in figure + throughput benchmarks (writes
-#                 benchmarks/output/*.txt and BENCH_0001.json)
+#   make bench    opt-in figure/table regeneration (writes
+#                 benchmarks/output/*.txt, which is gitignored)
 #   make figures  regenerate Figs. 4/5 + the §5 summary via the CLI
 #
 #   make cov      tier-1 suite under pytest-cov with the CI coverage
 #                 floor (80% over src/repro); writes coverage.xml
 #   make lint     ruff check + ruff format --check over src/ tests/
 #                 benchmarks/ (the CI lint job)
-#   make perf-gate  throughput-regression tripwire: re-runs the
-#                 throughput benchmarks (REPRO_SIM_SCALE=0.1) and fails
-#                 on >25% regression vs the committed BENCH_000N baseline
+#   make perf-gate  hdbench A/B of this tree against its merge base
+#                 with origin/main (`python benchmarks/perf_gate.py REF`
+#                 for another base), interleaved pairs per workload;
+#                 fails on an incorrect run or an end-to-end metric worse
+#                 than its BENCHMARK.json bound (report in
+#                 .bench_out/perf_gate.json)
 #   make chaos    fault-injection suite against a real 2-worker pool
 #                 (worker deaths, hangs, corrupt cache entries; the CI
 #                 chaos lane)
@@ -35,13 +38,12 @@
 #
 # Knobs: REPRO_SIM_SCALE (window scale), REPRO_WORKERS (BatchRunner
 # processes), REPRO_RESULT_CACHE (on-disk result cache directory),
-# REPRO_TRACE_CACHE (packed trace / warm snapshot store directory),
-# PERF_GATE_TOLERANCE (perf-gate regression threshold, default 0.25).
+# REPRO_TRACE_CACHE (packed trace / warm snapshot store directory).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test cov bench bench-throughput figures ci lint perf-gate chaos \
+.PHONY: test cov bench figures ci lint perf-gate chaos \
 	chaos-remote serve-smoke cache-smoke
 
 test:
@@ -71,7 +73,7 @@ lint:
 	ruff format --check src tests benchmarks
 
 perf-gate:
-	REPRO_SIM_SCALE=0.1 $(PYTHON) benchmarks/perf_gate.py
+	$(PYTHON) benchmarks/perf_gate.py
 
 cov:
 	$(PYTHON) -m pytest -x -q --cov=repro --cov-report=term \
@@ -79,9 +81,6 @@ cov:
 
 bench:
 	RUN_BENCH=1 $(PYTHON) -m pytest benchmarks -q
-
-bench-throughput:
-	RUN_BENCH=1 $(PYTHON) -m pytest benchmarks/test_simulator_throughput.py -q
 
 figures:
 	$(PYTHON) -m repro figures

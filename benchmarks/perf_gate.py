@@ -1,185 +1,263 @@
 #!/usr/bin/env python
-"""Throughput-regression tripwire (the CI ``perf-gate`` job).
+"""Performance gate: an interleaved hdbench A/B of this tree against its
+merge base, run in one session on one machine.
 
-Snapshots the committed ``BENCH_000N.json`` baseline *before* the
-benchmarks overwrite it, re-runs the throughput suite
-(``RUN_BENCH=1 pytest benchmarks/test_simulator_throughput.py
-benchmarks/test_service_latency.py benchmarks/test_cache_tiers.py``),
-then compares the fresh ``perf_gate`` reference section of
-``BENCH_0010.json`` (written by ``test_cache_tiers``, whose gate sweep
-and single-sims run the local supervised path with no result cache in
-the loop, so the gate keeps measuring the engine; the same snapshot
-records the warm-tier and work-stealing A/Bs) — single-simulation cycles/sec
-and the fixed-scale reference-sweep wall clock — against the newest
-committed snapshot that records one (baseline discovery walks
-``BENCH_0*.json`` newest-first, so appending ``BENCH_000N`` snapshots
-keeps working). A regression beyond ``PERF_GATE_TOLERANCE`` (default
-0.25, i.e. >25%) fails the gate.
+    python benchmarks/perf_gate.py [BASE_REF]     # default: origin/main
 
-The gate section is recorded at a *fixed* window scale
-(``GATE_SCALE`` in the benchmark module), so fresh and baseline numbers
-are always same-shape — no cross-scale normalization. The numbers are
-still machine-dependent: the tripwire assumes the comparison runs on
-hardware of the same class that recorded the baseline (one CI runner
-family, or the same dev box). 25% is far above run-to-run noise for
-these benchmarks but far below the cost of a real engine regression
-(e.g. a disabled fetch-block cache costs 5-10x).
+The merge base of ``HEAD`` and ``BASE_REF`` is checked out into a
+temporary ``git worktree`` (the "parent"); this working tree, with any
+uncommitted edits, is the "change".  For every workload of
+``BENCHMARK.json`` each tree runs its own
 
-Exit status: 0 (pass / record-only when no baseline exists), 1 (regression
-or missing fresh snapshot), pytest's status when the benchmark run fails.
+    hdbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
+
+``PAIRS`` times, one seed per pair, alternating which side runs first.
+Both sides are measured side by side, so no recorded baseline is needed
+and the gate means the same on any machine.
+
+Exit 1 when any run reports ``correct: false``, when the change fails a
+larger share of operations than the parent on a workload, or when the
+median of an end-to-end metric is worse than the parent's by more than
+its ``bound``.  Each metric's ``better`` direction and ``bound`` come from
+``BENCHMARK.json``; the gate has no other settings.  It prints one table
+and writes every run's numbers to ``.bench_out/perf_gate.json``, and no
+tracked file.  Exit 2 when the merge base cannot be checked out or has
+no ``hdbench/run.py``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import os
 import platform
-import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from statistics import median, quantiles
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-FRESH_SNAPSHOT = REPO_ROOT / "BENCH_0010.json"
+REPORT = REPO_ROOT / ".bench_out" / "perf_gate.json"
+
+#: hdbench runs per side and workload; pair ``i`` uses seed ``i`` (seed 0
+#: also checks hdbench's golden digests) and the parent runs first in
+#: the even pairs.
+PAIRS = 3
+
+SIDES = ("parent", "change")
 
 
-def snapshot_number(path: Path) -> int:
-    digits = path.stem.split("_")[-1]
-    return int(digits) if digits.isdigit() else -1
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=REPO_ROOT, check=True, capture_output=True,
+        text=True,
+    ).stdout.strip()
 
 
-def load_gate_baseline() -> tuple[dict, Path] | tuple[None, None]:
-    """The ``perf_gate`` section of the newest committed snapshot that
-    carries one (read before the benchmarks overwrite the files)."""
-    for path in sorted(REPO_ROOT.glob("BENCH_0*.json"),
-                       key=snapshot_number, reverse=True):
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        gate = payload.get("perf_gate")
-        if isinstance(gate, dict) and "cycles_per_second" in gate:
-            return gate, path
-    return None, None
-
-
-def machine_class() -> str:
-    return f"{platform.system()}-{platform.machine()}-cpu{os.cpu_count()}"
-
-
-def run_benchmarks() -> int:
-    env = dict(os.environ)
-    env.setdefault("RUN_BENCH", "1")
-    env.setdefault("REPRO_SIM_SCALE", "0.1")
-    env.setdefault("PYTHONPATH", str(REPO_ROOT / "src"))
-    cmd = [sys.executable, "-m", "pytest",
-           "benchmarks/test_simulator_throughput.py",
-           "benchmarks/test_service_latency.py",
-           "benchmarks/test_cache_tiers.py", "-q"]
-    # e.g. PERF_GATE_PYTEST_ARGS="-k test_continuation_sweep_throughput"
-    # narrows the run to just the test that produces the gate reference.
-    extra = os.environ.get("PERF_GATE_PYTEST_ARGS")
-    if extra:
-        cmd.extend(shlex.split(extra))
-    print(f"[perf-gate] running: {' '.join(cmd)} "
-          f"(REPRO_SIM_SCALE={env['REPRO_SIM_SCALE']})", flush=True)
-    return subprocess.call(cmd, cwd=REPO_ROOT, env=env)
-
-
-def main() -> int:
-    tolerance = float(os.environ.get("PERF_GATE_TOLERANCE", "0.25"))
-    baseline, baseline_path = load_gate_baseline()
-
-    # The benchmark modules rewrite every BENCH_000N.json they own; only
-    # BENCH_0010 carries the fresh gate reference (and merge-protects its
-    # other sections itself). Preserve the other committed snapshots —
-    # they are this-machine historical records, not gate outputs — so the
-    # gate never leaves the tree dirty with wrong-machine numbers.
-    preserved = {
-        path: path.read_text()
-        for path in sorted(REPO_ROOT.glob("BENCH_0*.json"))
-        if path != FRESH_SNAPSHOT
-    }
+@contextmanager
+def worktree(commit: str):
+    """``commit`` checked out in a detached worktree under the ignored
+    ``.bench_tmp/``, removed on exit."""
+    scratch = REPO_ROOT / ".bench_tmp"
+    scratch.mkdir(exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix="perf-gate-", dir=scratch))
+    tree = tmp / "parent"
+    git("worktree", "add", "--detach", str(tree), commit)
     try:
-        status = run_benchmarks()
+        yield tree
     finally:
-        for path, text in preserved.items():
-            path.write_text(text)
-    if status != 0:
-        print(f"[perf-gate] FAIL: benchmark run exited {status}")
-        return status
+        subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
+                       cwd=REPO_ROOT, capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=REPO_ROOT,
+                       capture_output=True)
+
+
+def run_hdbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One hdbench run in ``tree``: its last stdout line (the result JSON)
+    plus the ``# FAIL`` lines before it; a run that prints no result
+    counts as incorrect."""
+    proc = subprocess.run(
+        [sys.executable, "hdbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    problems = [line[len("# FAIL "):] for line in lines
+                if line.startswith("# FAIL ")]
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if not isinstance(result, dict) or not isinstance(result.get("metrics"),
+                                                      dict):
+        tail = proc.stderr.strip().splitlines()[-3:]
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+                "problems": [f"exit {proc.returncode}, no result line", *tail]}
+    result["problems"] = problems
+    return result
+
+
+def measure(trees: dict, workloads: list, seconds: float) -> dict:
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
+    for w in workloads:
+        for seed in range(PAIRS):
+            order = SIDES if seed % 2 == 0 else SIDES[::-1]
+            for side in order:
+                result = run_hdbench(trees[side], w, seed, seconds)
+                runs[w][side].append(result)
+                print(f"[perf-gate] {w} seed {seed} {side}: "
+                      f"{'correct' if result['correct'] else 'INCORRECT'}",
+                      flush=True)
+    return runs
+
+
+def relative_change(parent: float, change: float) -> float:
+    if parent == 0:
+        return 0.0 if change == 0 else math.copysign(math.inf, change)
+    return (change - parent) / abs(parent)
+
+
+def iqr(values: list) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = quantiles(values, n=4)
+    return q3 - q1
+
+
+def judge(runs: dict, spec: dict) -> tuple:
+    """The report's per-workload sections, the table rows and the list
+    of failures."""
+    sections, rows, failures = {}, [], []
+    for w, sides in runs.items():
+        for side, results in sides.items():
+            for seed, r in enumerate(results):
+                if not r["correct"]:
+                    failures.append(f"{w}: {side} run with seed {seed} is "
+                                    f"not correct: {'; '.join(r['problems'])}")
+        failed = {s: sum(r["failed"] for r in sides[s]) for s in SIDES}
+        share = {s: failed[s] / max(1, sum(r["attempted"] for r in sides[s]))
+                 for s in SIDES}
+        if share["change"] > share["parent"]:
+            failures.append(f"{w}: the change fails {share['change']:.2%} of "
+                            f"operations, the parent {share['parent']:.2%}")
+        metrics = {}
+        for m in spec["end_to_end"]:
+            name, better, bound = m["name"], m["better"], m["bound"]
+            values = {s: [r["metrics"][name]["value"] for r in sides[s]
+                          if name in r["metrics"]] for s in SIDES}
+            if not values["parent"] or not values["change"]:
+                missing = [s for s in SIDES if not values[s]]
+                rows.append((w, name, better, bound, None, None, None,
+                             f"no value from the {' and '.join(missing)}"))
+                if "change" in missing:
+                    failures.append(f"{w} {name}: no value from the change")
+                continue
+            p, c = median(values["parent"]), median(values["change"])
+            delta = relative_change(p, c)
+            worse = delta if better == "lower" else -delta
+            verdict = "ok" if worse <= bound else "WORSE"
+            if verdict != "ok":
+                failures.append(f"{w} {name}: median {c:.4g} against the "
+                                f"parent's {p:.4g} ({delta:+.1%}, {better} is "
+                                f"better, bound {bound:.0%})")
+            rows.append((w, name, better, bound, p, c, delta, verdict))
+            wins = sum((b < a) if better == "lower" else (b > a)
+                       for a, b in zip(values["parent"], values["change"]))
+            metrics[name] = {
+                "parent": [round(v, 4) for v in values["parent"]],
+                "change": [round(v, 4) for v in values["change"]],
+                "parent_median": round(p, 4),
+                "change_median": round(c, 4),
+                "parent_iqr": round(iqr(values["parent"]), 4),
+                "change_vs_parent_pct": round(100 * delta, 1),
+                "change_wins": wins,
+            }
+        sections[w] = {
+            "seeds": list(range(PAIRS)),
+            "all_correct": all(r["correct"] for s in SIDES for r in sides[s]),
+            "failed": failed,
+            "metrics": metrics,
+        }
+    return sections, rows, failures
+
+
+def print_table(rows: list) -> None:
+    print(f"{'workload':10s} {'metric':12s} {'better':6s} {'bound':>5s} "
+          f"{'parent':>11s} {'change':>11s} {'delta':>8s}  verdict")
+    for w, name, better, bound, p, c, delta, verdict in rows:
+        if p is None:
+            cells = f"{'-':>11s} {'-':>11s} {'-':>8s}"
+        else:
+            cells = f"{p:11.4g} {c:11.4g} {delta:+8.1%}"
+        print(f"{w:10s} {name:12s} {better:6s} {bound:5.0%} {cells}  "
+              f"{verdict}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("base", nargs="?", default="origin/main",
+                        help="ref whose merge base with HEAD is the parent "
+                             "(default: origin/main)")
+    args = parser.parse_args(argv)
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    try:
+        base = git("merge-base", "HEAD", args.base)
+        head = git("rev-parse", "HEAD")
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    except subprocess.CalledProcessError as exc:
+        print(f"[perf-gate] error: {exc.stderr.strip()}", file=sys.stderr)
+        return 2
+    print(f"[perf-gate] parent: merge base {base[:12]} of HEAD and "
+          f"{args.base}; change: {head[:12]}"
+          f"{' plus uncommitted edits' if dirty else ''}; {PAIRS} pairs per "
+          f"workload, {spec['run_seconds']} s each", flush=True)
 
     try:
-        fresh = json.loads(FRESH_SNAPSHOT.read_text())["perf_gate"]
-    except (OSError, ValueError, KeyError):
-        print(f"[perf-gate] FAIL: {FRESH_SNAPSHOT} lacks a perf_gate "
-              "section after the benchmark run")
-        return 1
+        with worktree(base) as parent_tree:
+            if not (parent_tree / "hdbench" / "run.py").is_file():
+                print(f"[perf-gate] error: merge base {base[:12]} has no "
+                      "hdbench/run.py", file=sys.stderr)
+                return 2
+            runs = measure({"parent": parent_tree, "change": REPO_ROOT},
+                           workloads, spec["run_seconds"])
+    except subprocess.CalledProcessError as exc:
+        print(f"[perf-gate] error: {exc.stderr.strip()}", file=sys.stderr)
+        return 2
 
-    if baseline is None:
-        print("[perf-gate] no committed BENCH_000N.json records a "
-              "perf_gate baseline yet: recording-only pass "
-              f"(fresh reference written to {FRESH_SNAPSHOT})")
-        return 0
-
-    base_machine = baseline.get("machine")
-    here = machine_class()
-    if base_machine is not None and base_machine != here:
-        # Absolute throughput numbers do not transfer across machine
-        # classes; enforcing would produce false regressions (or false
-        # passes) on the first run on new hardware. Record-only: promote
-        # the uploaded fresh snapshot to the committed baseline to start
-        # enforcing on this class.
-        print(f"[perf-gate] baseline {baseline_path.name} was recorded on "
-              f"'{base_machine}' but this run is on '{here}': "
-              "recording-only pass (commit the fresh snapshot to enforce "
-              "on this machine class)")
-        return 0
-
-    print(f"[perf-gate] baseline: {baseline_path.name}, "
-          f"tolerance: {tolerance:.0%}")
-    failures = []
-
-    base_cps = baseline["cycles_per_second"]
-    fresh_cps = fresh["cycles_per_second"]
-    for config, base in sorted(base_cps.items()):
-        now = fresh_cps.get(config)
-        if now is None:
-            failures.append(f"cycles/sec for {config}: missing in fresh run")
-            continue
-        floor = (1.0 - tolerance) * base
-        verdict = "ok" if now >= floor else "REGRESSION"
-        print(f"[perf-gate]   {config}: {now:,} cycles/s vs baseline "
-              f"{base:,} (floor {floor:,.0f}) -> {verdict}")
-        if now < floor:
-            failures.append(
-                f"cycles/sec for {config}: {now:,} < {floor:,.0f} "
-                f"({tolerance:.0%} below baseline {base:,})"
-            )
-
-    base_sweep = baseline.get("sweep_seconds_best")
-    fresh_sweep = fresh.get("sweep_seconds_best")
-    if base_sweep:
-        if not fresh_sweep:
-            # Half the tripwire silently disappearing is itself a failure.
-            failures.append("reference-sweep wall clock: missing in fresh run")
-        else:
-            ceiling = (1.0 + tolerance) * base_sweep
-            verdict = "ok" if fresh_sweep <= ceiling else "REGRESSION"
-            print(f"[perf-gate]   reference sweep: {fresh_sweep:.2f} s vs "
-                  f"baseline {base_sweep:.2f} s (ceiling {ceiling:.2f}) "
-                  f"-> {verdict}")
-            if fresh_sweep > ceiling:
-                failures.append(
-                    f"reference-sweep wall clock: {fresh_sweep:.2f} s > "
-                    f"{ceiling:.2f} s ({tolerance:.0%} above baseline "
-                    f"{base_sweep:.2f} s)"
-                )
-
+    sections, rows, failures = judge(runs, spec)
+    print_table(rows)
+    nproc = len(os.sched_getaffinity(0))
+    report = {
+        "benchmark": (
+            "hdbench: python3 hdbench/run.py --workload W --seed S "
+            f"--seconds {spec['run_seconds']} --trace 0, merge base against "
+            f"this tree, {PAIRS} interleaved pairs per workload "
+            "(benchmarks/perf_gate.py)"
+        ),
+        "machine": f"{platform.system()}-{platform.machine()}, {nproc} vCPU, "
+                   f"{platform.python_implementation()} "
+                   f"{platform.python_version()}",
+        "change": f"{head}{' plus uncommitted edits' if dirty else ''} "
+                  f"against merge base {base} of {args.base}",
+        "rounds": {"gate": {
+            "note": "seed i is pair i; the parent runs first in even pairs",
+            "workloads": sections,
+        }},
+        "failures": failures,
+    }
+    REPORT.parent.mkdir(exist_ok=True)
+    REPORT.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"[perf-gate] report: {REPORT.relative_to(REPO_ROOT)}")
     if failures:
         print("[perf-gate] FAIL:")
-        for f in failures:
-            print(f"  - {f}")
+        for failure in failures:
+            print(f"  - {failure}")
         return 1
     print("[perf-gate] PASS")
     return 0

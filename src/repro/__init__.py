@@ -15,8 +15,9 @@ Quick start::
     result = run_workload("2M4+2M2", ["eon", "gcc"], commit_target=10_000)
     print(result.ipc, result.ipc / config_area("2M4+2M2"))
 
-See ``examples/`` for full scenarios and ``benchmarks/`` for the
-regeneration of every table and figure in the paper.
+See ``examples/`` for full scenarios, ``benchmarks/`` for the
+regeneration of every table and figure in the paper, and ``hdbench/``
+for the performance benchmark.
 """
 
 from repro.core import (

@@ -50,16 +50,34 @@ class ExperimentScale:
 
 
 def default_scale() -> ExperimentScale:
-    """The default scale, adjusted by the REPRO_SIM_SCALE env var."""
+    """The default scale, adjusted by the REPRO_SIM_SCALE and
+    REPRO_MAX_MAPPINGS env vars.
+
+    Raises :class:`ValueError` naming the variable for a value that is
+    not a number, not finite or not positive (a mapping cap of 0 would
+    leave only the heuristic's mapping, so BEST = WORST = HEUR)."""
     base = ExperimentScale()
     factor = os.environ.get("REPRO_SIM_SCALE")
     if factor:
-        base = base.scaled(float(factor))
+        try:
+            base = base.scaled(float(factor))
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"REPRO_SIM_SCALE={factor!r}: expected a finite number > 0"
+            ) from None
     cap = os.environ.get("REPRO_MAX_MAPPINGS")
     if cap:
+        try:
+            max_mappings = int(cap)
+        except ValueError:
+            max_mappings = 0  # refused below like any other unusable cap
+        if max_mappings <= 0:
+            raise ValueError(
+                f"REPRO_MAX_MAPPINGS={cap!r}: expected an integer > 0"
+            )
         base = ExperimentScale(
             commit_target=base.commit_target,
             screen_target=base.screen_target,
-            max_mappings=int(cap),
+            max_mappings=max_mappings,
         )
     return base

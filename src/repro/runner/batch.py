@@ -135,9 +135,8 @@ def _init_worker(cache_dir: Optional[str], store_dir: Optional[str]) -> None:
 def _execute_job(job):
     """Legacy worker entry point: raw result, no supervision side-band.
 
-    Kept as the reference implementation the equivalence tests and the
-    fault-tolerance overhead benchmark compare the supervised path
-    against (see :meth:`BatchRunner._run_pool_map`).
+    Kept as the reference implementation the equivalence tests compare
+    the supervised path against (see :meth:`BatchRunner._run_pool_map`).
     """
     cache = (
         ResultCache(_WORKER_CACHE_DIR)
@@ -529,11 +528,11 @@ class BatchRunner:
         """The pre-resilience dispatch, verbatim: one ``pool.map`` over a
         private pool, no supervision.
 
-        Not used by any production path — it is the A/B reference for the
-        supervised path's equivalence tests and the no-fault overhead
-        benchmark (``benchmarks/test_fault_tolerance.py``). One worker
-        crash or hang kills/stalls the whole batch, which is exactly the
-        behaviour the supervisor replaced.
+        Not used by any production path — it is the reference the
+        supervised path's equivalence test
+        (``test_supervised_matches_pool_map_and_inline``) compares
+        against. One worker crash or hang kills/stalls the whole batch,
+        which is exactly the behaviour the supervisor replaced.
         """
         jobs = list(jobs)
         self._prepack_traces(jobs)

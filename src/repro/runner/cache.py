@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from collections import OrderedDict
@@ -49,6 +50,7 @@ __all__ = [
     "FilesystemBackend",
     "ResultCache",
     "ENGINE_VERSION",
+    "mem_cache_mb_from_env",
     "sim_result_payload",
     "sim_result_restore",
 ]
@@ -208,15 +210,24 @@ class FilesystemBackend:
         return total
 
 
-def _env_mem_budget_mb() -> float:
+def mem_cache_mb_from_env(default: float) -> float:
+    """The ``REPRO_MEM_CACHE_MB`` budget in MB, or ``default`` when it is
+    unset, empty, not a number, negative or not finite (the last three
+    with a warning)."""
     raw = os.environ.get("REPRO_MEM_CACHE_MB")
     if not raw:
-        return 0.0
+        return default
     try:
-        return max(0.0, float(raw))
+        value = float(raw)
     except ValueError:
-        logger.warning("ignoring REPRO_MEM_CACHE_MB=%r: not a number", raw)
-        return 0.0
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        logger.warning(
+            "ignoring REPRO_MEM_CACHE_MB=%r: not a finite number >= 0 "
+            "(using %g MB)", raw, default,
+        )
+        return default
+    return value
 
 
 class ResultCache:
@@ -258,7 +269,7 @@ class ResultCache:
         self.mem_hits = 0
         self.disk_hits = 0
         budget_mb = (
-            mem_cache_mb if mem_cache_mb is not None else _env_mem_budget_mb()
+            mem_cache_mb if mem_cache_mb is not None else mem_cache_mb_from_env(0.0)
         )
         self.mem_budget_bytes = int(max(0.0, budget_mb) * 1024 * 1024)
         #: key -> (payload, serialized size); insertion order = LRU order

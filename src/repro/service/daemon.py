@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.service.client import ServiceClient, ServiceRequestError
 from repro.service.protocol import MAX_FRAME_BYTES, canonical_dumps
-from repro.service.server import ReproService
+from repro.service.server import DEFAULT_FRAME_MB, ReproService
 
 __all__ = ["run_serve", "run_submit", "run_status"]
 
@@ -81,6 +81,7 @@ async def _serve(service: ReproService, socket_path: Optional[str],
 def run_serve(args) -> int:
     """``repro serve`` entry point (argparse namespace in, status out)."""
     from repro.runner import BatchRunner, RetryPolicy
+    from repro.runner.cache import mem_cache_mb_from_env
 
     _configure_logging(args.quiet)
     if (args.socket is None) == (args.port is None):
@@ -100,14 +101,12 @@ def run_serve(args) -> int:
     policy = RetryPolicy.from_env()
     # Long-lived instance: turn the result cache's memory tier on (same
     # budget knob as the frame tier) unless REPRO_MEM_CACHE_MB says 0.
-    from repro.service.server import _env_frame_budget_mb
-
     runner = BatchRunner(
         workers=args.jobs,
         cache_dir=cache_dir,
         policy=policy,
         queue_dir=args.queue,
-        mem_cache_mb=_env_frame_budget_mb(),
+        mem_cache_mb=mem_cache_mb_from_env(DEFAULT_FRAME_MB),
     )
     service = ReproService(
         runner,

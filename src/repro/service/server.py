@@ -44,7 +44,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
-import os
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
@@ -73,17 +72,7 @@ logger = logging.getLogger(__name__)
 #: Default rendered-frame budget (MB) when ``REPRO_MEM_CACHE_MB`` is
 #: unset: the daemon is the multi-tenant warm path, so its frame tier is
 #: on unless explicitly zeroed.
-_DEFAULT_FRAME_MB = 64.0
-
-
-def _env_frame_budget_mb() -> float:
-    raw = os.environ.get("REPRO_MEM_CACHE_MB")
-    if raw is None:
-        return _DEFAULT_FRAME_MB
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        return _DEFAULT_FRAME_MB
+DEFAULT_FRAME_MB = 64.0
 
 
 class ServiceError(Exception):
@@ -193,7 +182,9 @@ class ReproService:
         self.max_queue = max(1, int(max_queue))
         self.progress_interval = progress_interval
         if frame_cache_mb is None:
-            frame_cache_mb = _env_frame_budget_mb()
+            from repro.runner.cache import mem_cache_mb_from_env
+
+            frame_cache_mb = mem_cache_mb_from_env(DEFAULT_FRAME_MB)
         self.frame_budget_bytes = int(max(0.0, float(frame_cache_mb)) * 1024 * 1024)
         self._frames: "OrderedDict[str, bytes]" = OrderedDict()
         self._frame_bytes = 0

@@ -36,6 +36,30 @@ def test_env_override(monkeypatch):
     assert default_scale().max_mappings == 5
 
 
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e308", "0", "-2",
+                                 "abc"])
+def test_env_scale_rejects_unusable_values(monkeypatch, raw):
+    monkeypatch.setenv("REPRO_SIM_SCALE", raw)
+    with pytest.raises(ValueError, match="REPRO_SIM_SCALE"):
+        default_scale()
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "2.5", "abc"])
+def test_env_max_mappings_rejects_unusable_values(monkeypatch, raw):
+    monkeypatch.delenv("REPRO_SIM_SCALE", raising=False)
+    monkeypatch.setenv("REPRO_MAX_MAPPINGS", raw)
+    with pytest.raises(ValueError, match="REPRO_MAX_MAPPINGS"):
+        default_scale()
+
+
+def test_env_valid_values_parse_as_before(monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_SCALE", "0.1")
+    monkeypatch.setenv("REPRO_MAX_MAPPINGS", "1")
+    s = default_scale()
+    assert (s.commit_target, s.screen_target) == (800, 300)
+    assert s.max_mappings == 1
+
+
 def test_cache_key_distinguishes():
     a = ExperimentScale(commit_target=1000)
     b = ExperimentScale(commit_target=2000)

@@ -3,6 +3,7 @@ write-through, LRU eviction, detachment), the pluggable CacheBackend
 protocol, stats/prune GC, and the per-job key memo."""
 
 import json
+import logging
 import os
 import time
 
@@ -36,6 +37,16 @@ def test_mem_tier_env_budget(tmp_path, monkeypatch):
     assert cache.mem_budget_bytes == 2 * 1024 * 1024
     monkeypatch.setenv("REPRO_MEM_CACHE_MB", "not-a-number")
     assert not ResultCache(tmp_path).mem_enabled
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "abc", "-1"])
+def test_mem_tier_env_budget_ignores_unusable_values(tmp_path, monkeypatch,
+                                                     caplog, raw):
+    monkeypatch.setenv("REPRO_MEM_CACHE_MB", raw)
+    with caplog.at_level(logging.WARNING, logger="repro.runner.cache"):
+        cache = ResultCache(tmp_path)
+    assert cache.mem_budget_bytes == 0 and not cache.mem_enabled
+    assert "REPRO_MEM_CACHE_MB" in caplog.text
 
 
 def test_put_writes_through_and_get_hits_memory(tmp_path, sim_job):

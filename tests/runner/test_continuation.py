@@ -7,6 +7,8 @@ bundled run's result is bit-identical to the ``run_simulation`` call the
 one-job-per-run scheduler used to dispatch.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -210,3 +212,25 @@ def test_bundle_count_knob_caps_phase2_jobs(tiny_scale):
     phase2 = runner.batches[1]
     assert len(phase2) == 1 and isinstance(phase2[0], ContinuationJob)
     clear_result_cache()
+
+
+def test_screening_phase1_batch_does_not_grow_with_max_mappings(tiny_scale):
+    """Screening mode dispatches one ladder job per screened pair plus
+    the bundled single runs, whatever the candidate count: the phase-1
+    batch stays the same size as ``max_mappings`` grows."""
+    sizes, screened = [], []
+    for max_mappings in (4, 16):
+        clear_result_cache()
+        scale = replace(tiny_scale, max_mappings=max_mappings)
+        runner = RecordingRunner(reported_workers=4)
+        plans = [
+            _plan_pair(cn, get_workload(wn), scale, screening=True)
+            for cn in ("M8", "2M4+2M2") for wn in ("2W4", "4W6")
+        ]
+        _execute_plans(plans, scale, runner)
+        sizes.append(len(runner.batches[0]))
+        screened.append(sum(p.candidates_count for p in plans
+                            if p.screen_job is not None))
+    clear_result_cache()
+    assert screened[1] > screened[0]  # more candidates screened...
+    assert sizes[0] == sizes[1]       # ...by the same number of jobs

@@ -5,6 +5,7 @@ disabled."""
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -118,6 +119,16 @@ def test_frame_budget_env_default(runner, monkeypatch):
     assert ReproService(runner).frame_budget_bytes == 8 * 1024 * 1024
     monkeypatch.setenv("REPRO_MEM_CACHE_MB", "0")
     assert ReproService(runner).frame_budget_bytes == 0
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "abc", "-1"])
+def test_frame_budget_env_ignores_unusable_values(runner, monkeypatch, caplog,
+                                                  raw):
+    monkeypatch.setenv("REPRO_MEM_CACHE_MB", raw)
+    with caplog.at_level(logging.WARNING, logger="repro.runner.cache"):
+        service = ReproService(runner)
+    assert service.frame_budget_bytes == 64 * 1024 * 1024
+    assert "REPRO_MEM_CACHE_MB" in caplog.text
 
 
 def test_frame_lru_eviction(runner):
